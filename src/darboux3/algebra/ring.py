@@ -5,16 +5,32 @@ Coefficients of normal-ordered operators live in the ring
     Q(i)[q_1..q_N, lambda, omega, hbar][1/D],      D = 1 + lambda*(q_1^2+...+q_N^2),
 
 i.e. polynomials with Gaussian-rational coefficients divided by powers of the
-single irreducible polynomial D.  Only trial division by D is ever needed, so
-no general multivariate GCD machinery lives here.
+single irreducible polynomial D.  Canonical form only ever asks whether D
+divides a numerator, so no general multivariate GCD machinery lives here.
+
+That question is settled in two steps.  If D divides p, then p vanishes on the
+whole hypersurface D = 0, in particular at the fixed rational point
+q_i = i-th prime, lambda = -1/S0 (S0 = sum of the q_i^2), omega and hbar the
+next two primes.  ``divide_by_d`` evaluates p there exactly (over the Gaussian
+integers, after multiplying through by S0^deg_lambda(p)); a nonzero value
+proves D does not divide p, and the answer is ``None`` at once.  The point test
+can never reject a true multiple of D, because a multiple vanishes at every
+point of D = 0; a zero value only means the full trial division decides.
+Almost all canonicalization requests are non-multiples, so most of them end
+after one evaluation.
 
 Variable layout inside exponent tuples: q_1..q_N first, then lambda, omega,
-hbar.  All arithmetic is exact (``fractions.Fraction``).
+hbar.  All arithmetic is exact: a ``Poly`` holds Gaussian-integer numerators
+over one positive integer denominator, and ``GaussRat`` (exact ``Fraction``
+parts) is the scalar type of constructors and printing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from math import gcd, lcm
+from operator import add
 
 
 class GaussRat:
@@ -118,14 +134,19 @@ class Poly:
     """Multivariate polynomial over Gaussian rationals, sparse dict of monomials.
 
     ``nq`` is the spatial dimension; exponent tuples have length nq + 3 with
-    lambda, omega, hbar occupying the last three slots.
+    lambda, omega, hbar occupying the last three slots.  ``terms`` maps each
+    exponent tuple to a nonzero Gaussian integer ``(re, im)``; the polynomial
+    is ``sum (re + i*im) * monomial / den``.  ``den`` is positive and its gcd
+    with all the re and im parts is 1, so equal polynomials compare equal
+    field by field.  A Poly is never modified after construction.
     """
 
-    __slots__ = ("nq", "terms")
+    __slots__ = ("nq", "terms", "den")
 
-    def __init__(self, nq, terms=None):
+    def __init__(self, nq, terms=None, den=1):
         self.nq = nq
         self.terms = terms if terms is not None else {}
+        self.den = den
 
     # -- constructors -------------------------------------------------------
 
@@ -135,17 +156,14 @@ class Poly:
 
     @staticmethod
     def constant(nq, c):
-        c = c if isinstance(c, GaussRat) else GaussRat(c)
-        if not c:
-            return Poly(nq)
-        return Poly(nq, {(0,) * (nq + 3): c})
+        return Poly.monomial(nq, (0,) * (nq + 3), c)
 
     @staticmethod
     def monomial(nq, exps, c=1):
-        c = c if isinstance(c, GaussRat) else GaussRat(c)
-        if not c:
+        re, im, den = _gauss_parts(c)
+        if not (re or im):
             return Poly(nq)
-        return Poly(nq, {tuple(exps): c})
+        return _reduced(nq, {tuple(exps): (re, im)}, den)
 
     @staticmethod
     def variable(nq, idx, power=1):
@@ -180,10 +198,16 @@ class Poly:
     def constant_value(self):
         if not self.terms:
             return GaussRat(0)
-        return self.terms[(0,) * (self.nq + 3)]
+        re, im = self.terms[(0,) * (self.nq + 3)]
+        return GaussRat(Fraction(re, self.den), Fraction(im, self.den))
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.nq == other.nq and self.terms == other.terms
+        return (
+            isinstance(other, Poly)
+            and self.nq == other.nq
+            and self.den == other.den
+            and self.terms == other.terms
+        )
 
     def __bool__(self):
         return bool(self.terms)
@@ -191,20 +215,32 @@ class Poly:
     # -- arithmetic ----------------------------------------------------------
 
     def __neg__(self):
-        return Poly(self.nq, {e: -c for e, c in self.terms.items()})
+        return Poly(self.nq, {e: (-a, -b) for e, (a, b) in self.terms.items()}, self.den)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
             other = Poly.constant(self.nq, other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return Poly(self.nq, out)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        d1, d2 = self.den, other.den
+        g = gcd(d1, d2)
+        m1, m2 = d2 // g, d1 // g
+        out = dict(self.terms) if m1 == 1 else {
+            e: (a * m1, b * m1) for e, (a, b) in self.terms.items()
+        }
+        for e, (a, b) in other.terms.items():
+            if m2 != 1:
+                a, b = a * m2, b * m2
+            old = out.get(e)
+            if old is not None:
+                a, b = a + old[0], b + old[1]
+                if not (a or b):
+                    del out[e]
+                    continue
+            out[e] = (a, b)
+        return _reduced(self.nq, out, d1 * m1)
 
     __radd__ = __add__
 
@@ -215,21 +251,24 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
-            c = other if isinstance(other, GaussRat) else GaussRat(other)
-            if not c:
+            c, d, den = _gauss_parts(other)
+            if not (c or d):
                 return Poly(self.nq)
-            return Poly(self.nq, {e: v * c for e, v in self.terms.items()})
+            terms = {e: (a * c - b * d, a * d + b * c) for e, (a, b) in self.terms.items()}
+            return _reduced(self.nq, terms, self.den * den)
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return Poly(self.nq, out)
+        get = out.get
+        for e1, (a, b) in self.terms.items():
+            for e2, (c, d) in other.terms.items():
+                e = tuple(map(add, e1, e2))
+                re, im = a * c - b * d, a * d + b * c
+                old = get(e)
+                out[e] = (re, im) if old is None else (re + old[0], im + old[1])
+        # Gaussian integers have no zero divisors: a product term vanishes
+        # only where two products landed on one monomial
+        if len(out) < len(self.terms) * len(other.terms):
+            out = {e: v for e, v in out.items() if v[0] or v[1]}
+        return _reduced(self.nq, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -248,22 +287,23 @@ class Poly:
     def diff(self, idx):
         """Partial derivative with respect to variable ``idx``."""
         out = {}
-        for e, c in self.terms.items():
+        for e, (a, b) in self.terms.items():
             k = e[idx]
             if k == 0:
                 continue
             e2 = list(e)
             e2[idx] = k - 1
-            out[tuple(e2)] = c * k
-        return Poly(self.nq, out)
+            out[tuple(e2)] = (a * k, b * k)
+        return _reduced(self.nq, out, self.den)
 
     def conjugate(self):
         """Complex conjugation of numeric coefficients (all variables real)."""
-        return Poly(self.nq, {e: c.conjugate() for e, c in self.terms.items()})
+        return Poly(self.nq, {e: (a, -b) for e, (a, b) in self.terms.items()}, self.den)
 
     def substitute_zero(self, idx):
         """Set variable ``idx`` to zero (keep only exponent-0 terms in it)."""
-        return Poly(self.nq, {e: c for e, c in self.terms.items() if e[idx] == 0})
+        out = {e: c for e, c in self.terms.items() if e[idx] == 0}
+        return _reduced(self.nq, out, self.den)
 
     def degree_in(self, idx):
         return max((e[idx] for e in self.terms), default=0)
@@ -271,8 +311,9 @@ class Poly:
     def eval(self, values):
         """Numeric evaluation; ``values`` is a sequence of nq+3 numbers."""
         total = 0j
-        for e, c in self.terms.items():
-            v = complex(c.re) + 1j * complex(c.im)
+        den = self.den
+        for e, (a, b) in self.terms.items():
+            v = complex(a / den, b / den)
             for k, x in zip(e, values):
                 if k:
                     v *= x ** k
@@ -285,10 +326,11 @@ class Poly:
         if not self.terms:
             return "0"
         names = [f"q{i+1}" for i in range(self.nq)] + ["lambda", "omega", "hbar"]
+        den = self.den
         parts = []
-        for e, c in sorted(self.terms.items(), reverse=True):
+        for e, (a, b) in sorted(self.terms.items(), reverse=True):
             factors = [f"{n}^{k}" if k > 1 else n for n, k in zip(names, e) if k]
-            coef = str(c)
+            coef = str(GaussRat(Fraction(a, den), Fraction(b, den)))
             if factors and coef == "1":
                 parts.append("*".join(factors))
             elif factors and coef == "-1":
@@ -301,8 +343,37 @@ class Poly:
     __repr__ = __str__
 
 
-def d_poly(nq):
-    """The conformal factor D = 1 + lambda*(q1^2 + ... + qN^2)."""
+def _gauss_parts(x):
+    """Integers (re, im, den) with x = (re + i*im)/den and den > 0."""
+    if type(x) is int:
+        return x, 0, 1
+    x = x if isinstance(x, GaussRat) else GaussRat(x)
+    re, im = x.re, x.im
+    den = lcm(re.denominator, im.denominator)
+    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
+
+
+def _reduced(nq, terms, den):
+    """Poly of ``terms``/``den`` with the common factor of den and all parts divided out."""
+    if den == 1:
+        return Poly(nq, terms)
+    g = den
+    for a, b in terms.values():
+        g = gcd(g, a, b)
+        if g == 1:
+            return Poly(nq, terms, den)
+    if not terms:
+        return Poly(nq)
+    return Poly(nq, {e: (a // g, b // g) for e, (a, b) in terms.items()}, den // g)
+
+
+@cache
+def _d_power(nq, k):
+    """D**k, built once per (nq, k) and shared by every caller."""
+    if k == 0:
+        return Poly.constant(nq, 1)
+    if k > 1:
+        return _d_power(nq, k - 1) * _d_power(nq, 1)
     il = Poly.idx_lambda(nq)
     out = Poly.constant(nq, 1)
     for i in range(nq):
@@ -311,6 +382,11 @@ def d_poly(nq):
         e[il] = 1
         out = out + Poly.monomial(nq, e)
     return out
+
+
+def d_poly(nq):
+    """The conformal factor D = 1 + lambda*(q1^2 + ... + qN^2)."""
+    return _d_power(nq, 1)
 
 
 def q_squared(nq):
@@ -323,42 +399,84 @@ def q_squared(nq):
     return out
 
 
+@cache
+def _d_zero_point(nq):
+    """Integer values of q_1..q_N, -1 in the lambda slot, omega, hbar; and S0.
+
+    The q_i, omega and hbar take the first nq + 2 primes; lambda = -1/S0 with
+    S0 = sum of the q_i^2 puts the point on D = 0.  Scaled by S0^K for K at
+    least the lambda degree, lambda^k becomes (-1)^k * S0^(K-k).
+    """
+    primes = []
+    n = 2
+    while len(primes) < nq + 2:
+        if all(n % p for p in primes):
+            primes.append(n)
+        n += 1
+    values = (*primes[:nq], -1, *primes[nq:])
+    return values, sum(x * x for x in primes[:nq])
+
+
+def _vanishes_on_d_zero(p, kmax):
+    """Whether p is zero at the rational point of D = 0 (exact; see module doc)."""
+    values, s0 = _d_zero_point(p.nq)
+    il = p.nq
+    re = im = 0
+    for e, (a, b) in p.terms.items():
+        w = s0 ** (kmax - e[il])
+        for x, k in zip(values, e):
+            if k:
+                w *= x ** k
+        re += a * w
+        im += b * w
+    return not (re or im)
+
+
 def divide_by_d(p):
     """Exact quotient p / D, or None when D does not divide p.
 
-    Views p as a polynomial in lambda with coefficients in the remaining
-    variables; since D = 1 + lambda*S with S = q^2, the quotient coefficients
-    satisfy b_0 = c_0, b_k = c_k - b_{k-1}*S, closing only when the top
-    lambda-coefficient matches.
+    A nonzero value at the rational point of D = 0 rules out divisibility
+    without dividing (see the module docstring).  Otherwise p is viewed as a
+    polynomial in lambda with coefficients in the remaining variables; since
+    D = 1 + lambda*S with S = q^2, the quotient coefficients satisfy
+    b_0 = c_0, b_k = c_k - b_{k-1}*S, closing only when the top
+    lambda-coefficient matches.  The numerators are divided; the common
+    denominator carries over unchanged.
     """
     if p.is_zero():
         return Poly(p.nq)
-    il = Poly.idx_lambda(p.nq)
+    nq = p.nq
+    il = Poly.idx_lambda(nq)
     kmax = p.degree_in(il)
-    if kmax == 0:
+    if kmax == 0 or not _vanishes_on_d_zero(p, kmax):
         return None
     # split into lambda-degree slices (with the lambda exponent removed)
-    slices = [dict() for _ in range(kmax + 1)]
+    slices = [{} for _ in range(kmax + 1)]
     for e, c in p.terms.items():
-        k = e[il]
-        e2 = list(e)
-        e2[il] = 0
-        slices[k][tuple(e2)] = c
-    c_parts = [Poly(p.nq, s) for s in slices]
-    s_poly = q_squared(p.nq)
-    b_parts = [c_parts[0]]
-    for k in range(1, kmax):
-        b_parts.append(c_parts[k] - b_parts[k - 1] * s_poly)
-    if not (c_parts[kmax] - b_parts[kmax - 1] * s_poly).is_zero():
+        slices[e[il]][e[:il] + (0,) + e[il + 1:]] = c
+    b_parts = [slices[0]]
+    for k in range(1, kmax + 1):
+        # c_k - b_{k-1}*S, with S*x shifting one q_i exponent by 2
+        rest = dict(slices[k])
+        for e, (a, b) in b_parts[k - 1].items():
+            for i in range(nq):
+                e2 = e[:i] + (e[i] + 2,) + e[i + 1:]
+                old = rest.get(e2)
+                a2, b2 = (-a, -b) if old is None else (old[0] - a, old[1] - b)
+                if a2 or b2:
+                    rest[e2] = (a2, b2)
+                else:
+                    del rest[e2]
+        b_parts.append(rest)
+    # the last part is the remainder c_kmax - b_(kmax-1)*S
+    if b_parts.pop():
         return None
     # reassemble quotient with lambda exponents reattached
     out = {}
     for k, part in enumerate(b_parts):
-        for e, c in part.terms.items():
-            e2 = list(e)
-            e2[il] = k
-            out[tuple(e2)] = c
-    return Poly(p.nq, out)
+        for e, c in part.items():
+            out[e[:il] + (k,) + e[il + 1:]] = c
+    return _reduced(nq, out, p.den)
 
 
 class Coefficient:
@@ -414,9 +532,9 @@ class Coefficient:
         if other.is_zero():
             return self
         k = max(self.dpow, other.dpow)
-        d = d_poly(self.num.nq)
-        n1 = self.num * d ** (k - self.dpow) if k > self.dpow else self.num
-        n2 = other.num * d ** (k - other.dpow) if k > other.dpow else other.num
+        nq = self.num.nq
+        n1 = self.num * _d_power(nq, k - self.dpow) if k > self.dpow else self.num
+        n2 = other.num * _d_power(nq, k - other.dpow) if k > other.dpow else other.num
         return Coefficient(n1 + n2, k)
 
     def __sub__(self, other):
@@ -445,7 +563,7 @@ class Coefficient:
         e[i] = 1
         e[Poly.idx_lambda(nq)] = 1
         lam_qi = Poly.monomial(nq, e, 2 * self.dpow)
-        return Coefficient(dn * d_poly(nq) - lam_qi * self.num, self.dpow + 1)
+        return Coefficient(dn * _d_power(nq, 1) - lam_qi * self.num, self.dpow + 1)
 
     def conjugate(self):
         return Coefficient(self.num.conjugate(), self.dpow, _canonical=True)
@@ -456,7 +574,7 @@ class Coefficient:
         return Coefficient(self.num.substitute_zero(Poly.idx_lambda(nq)), 0, _canonical=True)
 
     def eval(self, values):
-        d = d_poly(self.num.nq).eval(values)
+        d = _d_power(self.num.nq, 1).eval(values)
         return self.num.eval(values) / d ** self.dpow
 
     def __str__(self):

@@ -23,6 +23,7 @@ from .algebra import (
     similarity_checks,
     verify_theorem,
 )
+from .algebra.verify import ALL_PARTS
 from .model import (
     ModelParams,
     classical_effective_minimum,
@@ -37,6 +38,42 @@ from .model import (
 
 SPECTRUM_TOLERANCE = 1e-5
 DRIFT_TOLERANCE = 1e-7
+
+
+def _number(convert, test, what):
+    """argparse type: ``convert`` the text, reject values failing ``test``.
+
+    A rejected value is a bad flag (exit 2 with a usage message), never a
+    traceback or a failed check.
+    """
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+
+    return parse
+
+
+_POSITIVE = _number(float, lambda x: 0 < x < float("inf"), "a positive finite number")
+_NONNEGATIVE = _number(float, lambda x: 0 <= x < float("inf"), "a nonnegative finite number")
+_DIM = _number(int, lambda n: n >= 2, "an integer >= 2")
+_NONNEGATIVE_INT = _number(int, lambda n: n >= 0, "a nonnegative integer")
+_POSITIVE_INT = _number(int, lambda n: n >= 1, "a positive integer")
+_GRID = _number(int, lambda n: n >= 100, "an integer >= 100")
+
+
+def _parts(text):
+    """argparse type for --parts: a comma-separated subset of ALL_PARTS."""
+    parts = tuple(p.strip() for p in text.split(",") if p.strip())
+    if not parts or not set(parts) <= set(ALL_PARTS):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated subset of {','.join(ALL_PARTS)}"
+        )
+    return parts
 
 
 def build_parser():
@@ -56,7 +93,7 @@ def build_parser():
     v.add_argument("--dim", type=int, choices=(2, 3, 4), default=3)
     v.add_argument("--flavor", choices=("schrodinger", "tlb", "tpdm"), default="schrodinger")
     v.add_argument(
-        "--parts", default="i,ii,sl2,conjugation",
+        "--parts", type=_parts, default=",".join(ALL_PARTS),
         help="comma-separated subset of i,ii,sl2,conjugation",
     )
     v.add_argument("--similarity", action="store_true",
@@ -65,24 +102,24 @@ def build_parser():
                    help="drop the omega^2 term from one Fradkin entry, e.g. I11")
 
     s = sub.add_parser("spectrum", parents=[common], help="radial bound states vs closed form")
-    s.add_argument("--dim", type=int, default=3)
-    s.add_argument("--l", type=int, default=0)
-    s.add_argument("--lambda", dest="lam", type=float, default=0.02)
-    s.add_argument("--omega", type=float, default=1.0)
-    s.add_argument("--hbar", type=float, default=1.0)
-    s.add_argument("--levels", type=int, default=6)
-    s.add_argument("--grid", type=int, default=4000, help="number of interior grid points")
-    s.add_argument("--qmax", type=float, default=None, help="override automatic box size")
+    s.add_argument("--dim", type=_DIM, default=3)
+    s.add_argument("--l", type=_NONNEGATIVE_INT, default=0)
+    s.add_argument("--lambda", dest="lam", type=_NONNEGATIVE, default=0.02)
+    s.add_argument("--omega", type=_POSITIVE, default=1.0)
+    s.add_argument("--hbar", type=_POSITIVE, default=1.0)
+    s.add_argument("--levels", type=_POSITIVE_INT, default=6)
+    s.add_argument("--grid", type=_GRID, default=4000, help="number of interior grid points")
+    s.add_argument("--qmax", type=_POSITIVE, default=None, help="override automatic box size")
     s.add_argument("--flavor", choices=("schrodinger", "tlb", "tpdm", "all"), default="tlb")
     s.add_argument("--wavefunctions", default=None, metavar="PATH",
                    help="also export radial wave functions as CSV (r, phi_0..phi_k)")
 
     c = sub.add_parser("classical", parents=[common], help="trajectory drift, ranks, orbit closure")
-    c.add_argument("--dim", type=int, default=3)
-    c.add_argument("--lambda", dest="lam", type=float, default=0.02)
-    c.add_argument("--omega", type=float, default=1.0)
-    c.add_argument("--t-end", type=float, default=100.0)
-    c.add_argument("--tolerance", type=float, default=1e-10)
+    c.add_argument("--dim", type=_DIM, default=3)
+    c.add_argument("--lambda", dest="lam", type=_NONNEGATIVE, default=0.02)
+    c.add_argument("--omega", type=_POSITIVE, default=1.0)
+    c.add_argument("--t-end", type=_POSITIVE, default=100.0)
+    c.add_argument("--tolerance", type=_POSITIVE, default=1e-10)
     c.add_argument("--trajectory", default=None, metavar="PATH",
                    help="also export the sampled trajectory as CSV")
 
@@ -106,11 +143,10 @@ def _emit(args, report, csv_text=None):
 
 
 def cmd_verify(args):
-    parts = tuple(p.strip() for p in args.parts.split(",") if p.strip())
     fradkin = build_fradkin(args.flavor, args.dim)
     if args.corrupt:
         fradkin = corrupt_fradkin(fradkin, args.corrupt)
-    rep = verify_theorem(args.flavor, args.dim, parts=parts, fradkin=fradkin)
+    rep = verify_theorem(args.flavor, args.dim, parts=args.parts, fradkin=fradkin)
     body = rep.to_json()
     if args.similarity:
         sim = similarity_checks(args.dim)
@@ -124,8 +160,6 @@ def cmd_verify(args):
 def cmd_spectrum(args):
     params = ModelParams(dim=args.dim, lam=args.lam, omega=args.omega, hbar=args.hbar)
     k = args.levels
-    if k < 1:
-        raise SystemExit(2)
     if args.flavor == "all":
         iso = sp.isospectrality_check(params, args.l, k=k, m=args.grid)
         closed = np.array([closed_form_energy(params, 2 * nr + args.l) for nr in range(k)])

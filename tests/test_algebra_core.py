@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from darboux3.algebra import ring
 from darboux3.algebra import (
     Coefficient,
     GaussRat,
@@ -14,6 +17,7 @@ from darboux3.algebra import (
     d_poly,
     divide_by_d,
     parse,
+    verify_theorem,
     weighted_adjoint,
 )
 
@@ -39,6 +43,151 @@ def test_divide_by_d_exact_and_refused():
     assert divide_by_d(s) is None
     assert divide_by_d(Poly.constant(nq, 3)) is None
     assert divide_by_d(Poly.zero(nq)).is_zero()
+
+
+# -- divide_by_d against a plain trial-division reference --------------------
+#
+# Polynomials are built from {exponent tuple: GaussRat} dicts through the
+# public constructors; the reference divides those dicts directly, with
+# D = 1 + lambda*S, S = sum q_i^2: b_0 = c_0, b_k = c_k - b_(k-1)*S, and D
+# divides iff c_kmax - b_(kmax-1)*S is zero.
+
+
+def _poly_of(nq, terms):
+    out = Poly.zero(nq)
+    for e, c in terms.items():
+        out = out + Poly.monomial(nq, e, c)
+    return out
+
+
+def _dict_add(out, e, c):
+    s = out.get(e, GaussRat(0)) + c
+    if s:
+        out[e] = s
+    else:
+        out.pop(e, None)
+
+
+def _dict_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            _dict_add(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+    return out
+
+
+def _d_dict(nq):
+    d = {(0,) * (nq + 3): GaussRat(1)}
+    for i in range(nq):
+        e = [0] * (nq + 3)
+        e[i], e[nq] = 2, 1
+        d[tuple(e)] = GaussRat(1)
+    return d
+
+
+def _reference_divide_by_d(nq, terms):
+    if not terms:
+        return {}
+    kmax = max(e[nq] for e in terms)
+    if kmax == 0:
+        return None
+    slices = [{} for _ in range(kmax + 1)]
+    for e, c in terms.items():
+        slices[e[nq]][e[:nq] + (0,) + e[nq + 1:]] = c
+    s_terms = {}
+    for i in range(nq):
+        e = [0] * (nq + 3)
+        e[i] = 2
+        s_terms[tuple(e)] = GaussRat(1)
+    b = [slices[0]]
+    for k in range(1, kmax + 1):
+        nxt = dict(slices[k])
+        for e, c in _dict_mul(b[k - 1], s_terms).items():
+            _dict_add(nxt, e, -c)
+        b.append(nxt)
+    if b.pop():
+        return None
+    return {e[:nq] + (k,) + e[nq + 1:]: c for k, part in enumerate(b) for e, c in part.items()}
+
+
+def _check_against_reference(nq, terms):
+    got = divide_by_d(_poly_of(nq, terms))
+    want = _reference_divide_by_d(nq, terms)
+    if want is None:
+        assert got is None
+    else:
+        assert got == _poly_of(nq, want)
+    return want
+
+
+_scalars = st.builds(
+    GaussRat,
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+    st.sampled_from([0, 0, 1, -2, Fraction(1, 3)]),
+)
+
+
+@st.composite
+def _poly_terms(draw, nq, max_terms=5):
+    exps = st.tuples(*[st.integers(0, 3)] * (nq + 3))
+    return draw(st.dictionaries(exps, _scalars.filter(bool), max_size=max_terms))
+
+
+_PROPERTY = settings(max_examples=60, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+@_PROPERTY
+@given(st.data(), st.sampled_from([2, 3]), st.integers(1, 3))
+def test_divide_by_d_exact_multiples_match_reference(data, nq, k):
+    terms = data.draw(_poly_terms(nq))
+    multiple = terms
+    for _ in range(k):
+        multiple = _dict_mul(multiple, _d_dict(nq))
+    want = _check_against_reference(nq, multiple)
+    if terms:
+        assert want is not None
+
+
+@_PROPERTY
+@given(st.data(), st.sampled_from([2, 3]))
+def test_divide_by_d_random_polynomials_match_reference(data, nq):
+    _check_against_reference(nq, data.draw(_poly_terms(nq, max_terms=8)))
+
+
+@_PROPERTY
+@given(st.data(), st.sampled_from([2, 3]), st.integers(0, 2))
+def test_divide_by_d_vanishing_non_multiples_match_reference(data, nq, slot):
+    # r * (x - x0) vanishes at the rejection point (x one of q1, omega, hbar
+    # at its value x0 there) and, plus a multiple of D, is divisible by D
+    # only when r is; the point test cannot decide these
+    values, _ = ring._d_zero_point(nq)
+    idx = (0, nq + 1, nq + 2)[slot]
+    x = {tuple(int(j == idx) for j in range(nq + 3)): GaussRat(1),
+         (0,) * (nq + 3): GaussRat(-values[idx])}
+    r = data.draw(_poly_terms(nq, max_terms=3))
+    m = data.draw(_poly_terms(nq, max_terms=3))
+    terms = _dict_mul(r, x)
+    for e, c in _dict_mul(m, _d_dict(nq)).items():
+        _dict_add(terms, e, c)
+    p = _poly_of(nq, terms)
+    kmax = p.degree_in(nq)
+    if kmax:
+        assert ring._vanishes_on_d_zero(p, kmax)
+    _check_against_reference(nq, terms)
+
+
+def test_cached_d_powers_unchanged_by_verification():
+    nq = 2
+    cached = [ring._d_power(nq, k) for k in range(7)]
+    before = [(dict(p.terms), p.den) for p in cached]
+    verify_theorem("tlb", nq)
+    assert [(dict(p.terms), p.den) for p in cached] == before
+    assert cached[1] is d_poly(nq)
+    expected = {(0,) * (nq + 3): GaussRat(1)}
+    for k, p in enumerate(cached):
+        assert p == _poly_of(nq, expected) and ring._d_power(nq, k) is p
+        expected = _dict_mul(expected, _d_dict(nq))
 
 
 def test_coefficient_canonical_form():

@@ -35,13 +35,30 @@ def test_verify_corrupt_fails(capsys):
     assert bad and all("residual" in c for c in bad)
 
 
-def test_verify_bad_flags_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--dim", "7"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc2:
-        main(["nonsense"])
-    assert exc2.value.code == 2
+BAD_FLAGS = (
+    ["verify", "--dim", "7"],
+    ["nonsense"],
+    ["verify", "--parts", "foo"],
+    ["verify", "--parts", ","],
+    ["spectrum", "--omega", "0"],
+    ["spectrum", "--hbar", "0"],
+    ["spectrum", "--grid", "10"],
+    ["spectrum", "--qmax", "-3"],
+    ["spectrum", "--lambda", "-1"],
+    ["spectrum", "--omega", "nan"],
+    ["spectrum", "--levels", "0"],
+    ["classical", "--t-end", "-1"],
+    ["classical", "--t-end", "0"],
+)
+
+
+def test_verify_bad_flags_exit_2(capsys):
+    for argv in BAD_FLAGS:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err, argv
 
 
 def test_verify_similarity_flag(capsys):
