@@ -259,18 +259,28 @@ def conformal_potential_identity(nq):
     return _conformal_check(nq).commutator_zero
 
 
+def fradkin_label_indices(label, nq):
+    """Zero-based indices (i, j) of a Fradkin tensor label such as 'I13'.
+
+    Raises ValueError when the label is malformed or names an entry outside
+    the N x N tensor.
+    """
+    if len(label) != 3 or label[0] != "I" or not all(c in "0123456789" for c in label[1:]):
+        raise ValueError(f"bad invariant label {label!r} (expected e.g. 'I11')")
+    i, j = int(label[1]) - 1, int(label[2]) - 1
+    if not (0 <= i < nq and 0 <= j < nq):
+        raise ValueError(f"invariant label {label!r} out of range for N={nq}")
+    return i, j
+
+
 def corrupt_fradkin(tensor, label):
     """Drop the omega^2 q_i q_j term from one tensor entry (mutation control).
 
     ``label`` looks like 'I11' or 'I13'; returns a new tensor with the entry
     (and its symmetric partner) corrupted.
     """
-    if not label.startswith("I") or len(label) != 3:
-        raise ValueError(f"bad invariant label {label!r} (expected e.g. 'I11')")
-    i, j = int(label[1]) - 1, int(label[2]) - 1
     nq = len(tensor)
-    if not (0 <= i < nq and 0 <= j < nq):
-        raise ValueError(f"invariant label {label!r} out of range for N={nq}")
+    i, j = fradkin_label_indices(label, nq)
     from .ring import Coefficient
 
     qij = Poly.variable(nq, i) * Poly.variable(nq, j) * Poly.variable(

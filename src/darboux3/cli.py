@@ -1,7 +1,8 @@
 """Command-line interface: verify / spectrum / classical / figures.
 
 Exit codes are the single source of pass/fail truth: 0 on success, 1 when a
-verification or tolerance fails, 2 on bad flags (argparse's own convention).
+verification or tolerance fails or an output file cannot be written, 2 on bad
+flags (argparse's own convention).
 Reports go to --out when given, otherwise to stdout; identical flags and seed
 reproduce byte-identical output under --no-timestamp.
 """
@@ -23,7 +24,7 @@ from .algebra import (
     similarity_checks,
     verify_theorem,
 )
-from .algebra.verify import ALL_PARTS
+from .algebra.verify import ALL_PARTS, fradkin_label_indices
 from .model import (
     ModelParams,
     classical_effective_minimum,
@@ -144,7 +145,7 @@ def _emit(args, report, csv_text=None):
 
 def cmd_verify(args):
     fradkin = build_fradkin(args.flavor, args.dim)
-    if args.corrupt:
+    if args.corrupt is not None:
         fradkin = corrupt_fradkin(fradkin, args.corrupt)
     rep = verify_theorem(args.flavor, args.dim, parts=args.parts, fradkin=fradkin)
     body = rep.to_json()
@@ -344,6 +345,12 @@ def cmd_figures(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "verify" and args.corrupt is not None:
+        # the valid labels depend on --dim, so they are checked after parsing
+        try:
+            fradkin_label_indices(args.corrupt, args.dim)
+        except ValueError as exc:
+            parser.error(f"argument --corrupt: {exc}")
     handlers = {
         "verify": cmd_verify,
         "spectrum": cmd_spectrum,
@@ -352,7 +359,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,4 @@
-"""Closed-form scalar functions of the curved oscillator model.
+"""Closed-form functions of the curved oscillator model.
 
 Everything here is a pure function of a ModelParams instance; the deformation
 parameter lambda controls the departure from the flat isotropic oscillator,
@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -82,46 +84,47 @@ def flattening_coordinate(params, r):
     """Canonical flattening coordinate Q(r) = r*sqrt(D)/2 + arcsinh(sqrt(lambda)*r)/(2*sqrt(lambda)).
 
     Strictly increasing with dQ/dr = sqrt(D); Q = r at lambda = 0 by the
-    analytic limit.
+    analytic limit.  r may be a scalar or an ndarray.
     """
     lam = params.lam
     if lam == 0:
         return r
     sl = math.sqrt(lam)
-    return 0.5 * r * math.sqrt(1.0 + lam * r * r) + math.asinh(sl * r) / (2.0 * sl)
+    q = 0.5 * r * np.sqrt(1.0 + lam * r * r) + np.arcsinh(sl * r) / (2.0 * sl)
+    return float(q) if np.ndim(q) == 0 else q
 
 
 def inverse_flattening(params, q, tol=1e-12):
     """Inverse of the flattening coordinate: the r >= 0 with Q(r) = q.
 
-    Bracketed Newton iteration (dQ/dr = sqrt(D) >= 1) with bisection
-    safeguarding; terminates when |Q(r) - q| <= tol*(1 + |q|).
+    q may be a scalar (a float is returned) or an ndarray.  Bracketed Newton
+    iteration (dQ/dr = sqrt(D) >= 1) with bisection safeguarding runs on every
+    element at once, each with its own bracket; an element stops updating
+    once |Q(r) - q| <= tol*(1 + |q|).
     """
-    if q < 0:
+    q_arr = np.asarray(q, dtype=float)
+    if np.any(q_arr < 0):
         raise ValueError("flattening coordinate must be nonnegative")
     lam = params.lam
-    if lam == 0 or q == 0:
-        return q
-    lo, hi = 0.0, 2.0 * q + 1.0
-    while flattening_coordinate(params, hi) < q:
-        hi *= 2.0
-    # Q(r) >= r so r = q is already an upper bound in the deformed case
-    r = min(q, hi)
-    target = tol * (1.0 + abs(q))
+    if lam == 0:
+        return float(q_arr) if q_arr.ndim == 0 else q_arr.copy()
+    # Q(r) >= r, so r = q is an upper bound and 2q + 1 brackets the root
+    lo, hi = np.zeros_like(q_arr), 2.0 * q_arr + 1.0
+    r = q_arr.copy()
+    target = tol * (1.0 + np.abs(q_arr))
+    active = np.ones(q_arr.shape, dtype=bool)
     for _ in range(100):
-        f = flattening_coordinate(params, r) - q
-        if abs(f) <= target:
-            return r
-        if f > 0:
-            hi = r
-        else:
-            lo = r
-        step = f / math.sqrt(1.0 + lam * r * r)
-        r_new = r - step
-        if not (lo < r_new < hi):
-            r_new = 0.5 * (lo + hi)
-        r = r_new
-    raise RuntimeError(f"inverse flattening failed to converge for Q={q!r}")
+        f = flattening_coordinate(params, r) - q_arr
+        active &= ~(np.abs(f) <= target)  # a nan never meets the rule
+        if not active.any():
+            return float(r) if r.ndim == 0 else r
+        hi = np.where(f > 0, r, hi)
+        lo = np.where(f > 0, lo, r)
+        r_new = r - f / np.sqrt(1.0 + lam * r * r)
+        r_new = np.where((lo < r_new) & (r_new < hi), r_new, 0.5 * (lo + hi))
+        r = np.where(active, r_new, r)
+    bad = float(q_arr[active][0])
+    raise RuntimeError(f"inverse flattening failed to converge for Q={bad!r}")
 
 
 def classical_effective_potential(params, c_n, r):
@@ -167,9 +170,9 @@ def quantum_effective_potential(params, l, r):
 
     Positive with a unique minimum except for N = 2, l = 0, where it is
     unbounded below at the origin; in all cases it tends to omega^2/(2*lambda)
-    at infinity.
+    at infinity.  r may be a scalar or an ndarray.
     """
-    if r <= 0:
+    if np.any(np.asarray(r) <= 0):
         raise ValueError("r must be positive")
     n, lam, om, hb = params.dim, params.lam, params.omega, params.hbar
     d = 1.0 + lam * r * r

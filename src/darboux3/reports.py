@@ -13,6 +13,8 @@ import json
 import math
 from datetime import datetime, timezone
 
+import numpy as np
+
 SCHEMA = "darboux-report/1"
 
 
@@ -65,7 +67,10 @@ def dump_csv(rows, header, path=None):
 
 
 def _csv_cell(x):
-    if isinstance(x, float):
+    # np.float64 subclasses float, but its repr is "np.float64(...)" under
+    # NumPy 2; every float prints as the plain repr of a Python float
+    if isinstance(x, (float, np.floating)):
+        x = float(x)
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"
         if math.isnan(x):

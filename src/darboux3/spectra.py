@@ -188,8 +188,8 @@ def effective_1d_problem(problem):
         raise ValueError("problem has no grid; use default_grid()")
     dq = grid.q_max / (grid.m + 1)
     q = dq * np.arange(1, grid.m + 1)
-    r = np.array([inverse_flattening(params, qi) for qi in q])
-    u = np.array([quantum_effective_potential(params, problem.l, ri) for ri in r])
+    r = inverse_flattening(params, q)
+    u = quantum_effective_potential(params, problem.l, r)
     hb = params.hbar
     diag = hb * hb / dq**2 + u
     off = np.full(grid.m - 1, -hb * hb / (2.0 * dq**2))
@@ -233,7 +233,7 @@ def solve_bound_states(problem, k=6, eigenvectors=False):
             params=problem.params, l=problem.l, flavor=problem.flavor,
             grid=default_grid(problem.params, problem.l, k=k),
         )
-    diag, off, q, _r = effective_1d_problem(problem)
+    diag, off, q, r = effective_1d_problem(problem)
     take = min(len(diag), k + 4)
     if eigenvectors:
         vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, take - 1))
@@ -262,6 +262,7 @@ def solve_bound_states(problem, k=6, eigenvectors=False):
     if vecs is not None:
         report.eigenvectors = vecs[:, : len(report.levels)]
         report.q_nodes = q
+        report.r_nodes = r
     return report
 
 
@@ -605,8 +606,9 @@ def threshold_accumulation(params, l, doublings=3, base_grid=None, k_cap=400,
     below.  Gap monotonicity (E_{n+1} - E_n decreasing) is evaluated on the
     resolved range below ``resolved_fraction`` of the threshold: second
     differences are far more sensitive to box distortion than the levels
-    themselves, and nearer the threshold the finite box takes over.  Returns
-    a list of per-grid summaries.
+    themselves, and nearer the threshold the finite box takes over.  At most
+    the lowest ``k_cap`` levels below the threshold are counted per grid.
+    Returns a list of per-grid summaries.
     """
     if params.lam <= 0:
         raise ValueError("threshold accumulation needs lambda > 0")
@@ -619,9 +621,11 @@ def threshold_accumulation(params, l, doublings=3, base_grid=None, k_cap=400,
         grid = GridSpec(q_max=q_max * 2**stage, m=m * 2**stage)
         problem = RadialProblem(params, l, "tlb", grid)
         diag, off, _q, _r = effective_1d_problem(problem)
-        k = min(k_cap, grid.m - 1)
-        vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True)
-        below = vals[vals < threshold]
+        # every level below the threshold, selected by value; the lowest
+        # min(k_cap, m - 1) of them are kept
+        vals = eigh_tridiagonal(diag, off, select="v", select_range=(-math.inf, threshold),
+                                eigvals_only=True)
+        below = vals[vals < threshold][: min(k_cap, grid.m - 1)]
         resolved = below[below < resolved_fraction * threshold]
         out.append(
             {
@@ -644,9 +648,8 @@ def radial_wavefunctions(problem, k=6):
     Phi_tpdm = D^(N/4) Phi_tlb.  Returns (r_nodes, {flavor: array (k, M)}).
     """
     report = solve_bound_states(problem, k=k, eigenvectors=True)
-    q = report.q_nodes
+    r = report.r_nodes
     params = report.problem.params
-    r = np.array([inverse_flattening(params, qi) for qi in q])
     d = 1.0 + params.lam * r * r
     n = params.dim
     u = report.eigenvectors.T  # (k, M)

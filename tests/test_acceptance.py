@@ -1,12 +1,11 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Each test prints one `[acceptance] PASS/FAIL criterion k` line (visible with
-pytest -s) and asserts the same condition.  The extended N=4 symbolic sweep is
-non-gating and runs only when DARBOUX3_EXTENDED is set.
+pytest -s) and asserts the same condition, the extended N=4 symbolic sweep
+included.
 """
 
 import math
-import os
 import time
 
 import numpy as np
@@ -52,10 +51,6 @@ def test_criterion_1_symbolic_superintegrability(dim, flavor):
     )
 
 
-@pytest.mark.skipif(
-    not os.environ.get("DARBOUX3_EXTENDED"),
-    reason="extended N=4 sweep (set DARBOUX3_EXTENDED=1)",
-)
 @pytest.mark.parametrize("flavor", ("schrodinger", "tlb", "tpdm"))
 def test_criterion_1_extended_n4(flavor):
     t0 = time.time()

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, report schemas, files."""
 
+import csv
 import json
 import math
 
@@ -49,6 +50,8 @@ BAD_FLAGS = (
     ["spectrum", "--levels", "0"],
     ["classical", "--t-end", "-1"],
     ["classical", "--t-end", "0"],
+    ["verify", "--corrupt", "XYZ"],
+    ["verify", "--dim", "2", "--corrupt", "I33"],
 )
 
 
@@ -181,3 +184,35 @@ def test_figures_outputs(capsys, tmp_path):
     f5 = json.loads((tmp_path / "figure5_landmarks.json").read_text())
     assert [round(v, 2) for v in f5["landmarks"]["E0"].values()] == [1.5, 1.48, 1.46, 1.41]
     assert list(f5["landmarks"]["E_infinity"].values()) == ["inf", 50.0, 25.0, 12.5]
+
+
+def test_csv_cells_parse_as_floats(capsys, tmp_path):
+    paths = []
+    for which in (1, 2, 3, 4):
+        run_cli(capsys, "figures", "--which", str(which), "--dir", str(tmp_path), "--no-timestamp")
+        paths.append(tmp_path / f"figure{which}_curve.csv")
+    paths.append(tmp_path / "wf.csv")
+    run_cli(capsys, "spectrum", "--levels", "2", "--wavefunctions", str(paths[-1]),
+            "--no-timestamp")
+    paths.append(tmp_path / "all.csv")
+    code, _ = run_cli(capsys, "spectrum", "--flavor", "all", "--levels", "2",
+                      "--format", "csv", "--out", str(paths[-1]), "--no-timestamp")
+    assert code == 0
+    for path in paths:
+        rows = list(csv.reader(path.open()))
+        assert len(rows) > 2, path
+        for row in rows[1:]:
+            for cell in row:
+                float(cell)  # raises on a cell such as "np.float64(0.0)"
+
+
+def test_unwritable_output_paths_exit_1(capsys, tmp_path):
+    blocker = tmp_path / "plain_file"
+    blocker.write_text("")
+    for argv in (
+        ["figures", "--which", "1", "--dir", str(blocker / "sub")],
+        ["spectrum", "--levels", "2", "--out", str(tmp_path / "missing" / "spec.json")],
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, argv

@@ -106,6 +106,48 @@ def test_flattening_strictly_increasing_and_inverse_residual():
         assert abs(flattening_coordinate(params, r) - q) <= 1e-12 * (1.0 + q)
 
 
+@pytest.mark.parametrize("lam", (0.005, 0.02, 0.04, 0.1))
+def test_inverse_flattening_array_matches_scalar_loop(lam):
+    params = ModelParams(dim=3, lam=lam)
+    rng = np.random.default_rng(7)
+    qs = np.concatenate([np.linspace(200.0 / 4000, 200.0, 4000), rng.uniform(1e-9, 200.0, 500)])
+    rs = inverse_flattening(params, qs)
+    assert isinstance(rs, np.ndarray) and rs.shape == qs.shape
+    loop = np.array([inverse_flattening(params, float(q)) for q in qs])
+    assert np.max(np.abs(rs - loop) / loop) <= 1e-15
+    # every element meets the per-element stop rule
+    assert np.all(np.abs(flattening_coordinate(params, rs) - qs) <= 1e-12 * (1.0 + qs))
+
+
+def test_inverse_flattening_edge_entries_and_types():
+    params = ModelParams(dim=3, lam=0.02)
+    rs = inverse_flattening(params, np.array([0.0, 1.5, 0.0, 40.0]))
+    assert rs[0] == 0.0 and rs[2] == 0.0
+    assert rs[1] == inverse_flattening(params, 1.5)
+    flat = ModelParams(dim=3, lam=0.0)
+    qs = np.array([0.0, 2.5, 7.0])
+    assert np.array_equal(inverse_flattening(flat, qs), qs)
+    with pytest.raises(ValueError):
+        inverse_flattening(params, np.array([1.0, -1e-12, 3.0]))
+    with pytest.raises(ValueError):
+        inverse_flattening(params, -0.5)
+    with pytest.raises(RuntimeError), np.errstate(invalid="ignore"):
+        inverse_flattening(params, np.array([1.0, np.inf]))  # Q(inf) - inf is nan
+    # a scalar returns a Python float, whatever the scalar's type
+    for q in (2.0, np.float64(2.0), 0.0, 3):
+        assert type(inverse_flattening(params, q)) is float
+        assert type(inverse_flattening(flat, q)) is float
+
+
+def test_quantum_effective_potential_accepts_arrays():
+    params = ModelParams(dim=4, lam=0.03, omega=1.1, hbar=0.9)
+    rs = np.linspace(0.05, 40.0, 300)
+    vals = quantum_effective_potential(params, 2, rs)
+    assert np.array_equal(vals, [quantum_effective_potential(params, 2, float(r)) for r in rs])
+    with pytest.raises(ValueError):
+        quantum_effective_potential(params, 2, np.array([1.0, 0.0]))
+
+
 def test_classical_effective_potential_figure3_values():
     # figure-3 landmarks
     deformed = ModelParams(dim=3, lam=0.02)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from darboux3.model import ModelParams, closed_form_energy
+from darboux3.model import ModelParams, closed_form_energy, continuum_threshold
 from darboux3 import spectra as sp
 
 
@@ -247,6 +247,33 @@ def test_threshold_accumulation():
     assert all(s["gaps_decreasing"] for s in stages)
     with pytest.raises(ValueError):
         sp.threshold_accumulation(FLAT, l=0)
+
+
+def _threshold_by_index(params, l, doublings, k_cap):
+    """Threshold stages with the lowest min(k_cap, m - 1) levels selected by index."""
+    from scipy.linalg import eigh_tridiagonal
+
+    base = sp.default_grid(params, l, k=6)
+    threshold = continuum_threshold(params)
+    out = []
+    for stage in range(doublings):
+        grid = sp.GridSpec(q_max=base.q_max * 2**stage, m=base.m * 2**stage)
+        diag, off, _q, _r = sp.effective_1d_problem(sp.RadialProblem(params, l, "tlb", grid))
+        k = min(k_cap, grid.m - 1)
+        vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True)
+        out.append(vals[vals < threshold])
+    return out
+
+
+@pytest.mark.parametrize("k_cap", (400, 5))
+def test_threshold_value_selection_matches_index_selection(k_cap):
+    stages = sp.threshold_accumulation(P002, l=0, doublings=2, k_cap=k_cap)
+    reference = _threshold_by_index(P002, 0, 2, k_cap)
+    for stage, below in zip(stages, reference):
+        assert stage["count_below_threshold"] == below.size
+        assert stage["top_resolved"] == pytest.approx(below[-1], rel=1e-10)
+    if k_cap == 5:
+        assert [s["count_below_threshold"] for s in stages] == [5, 5]
 
 
 def test_flat_gaps_constant():
