@@ -63,32 +63,32 @@ class TrajectoryRecord:
         return max(self.drift.values()) if self.drift else 0.0
 
 
+def _energy(params, qq, pp):
+    return (pp + params.omega**2 * qq) / (2.0 * (1.0 + params.lam * qq))
+
+
 def classical_hamiltonian(params, state):
     """H(q, p) = (p^2 + omega^2 q^2) / (2 (1 + lambda q^2))."""
     q, p = state.q, state.p
-    return float(
-        (p @ p + params.omega**2 * (q @ q)) / (2.0 * (1.0 + params.lam * (q @ q)))
-    )
+    return float(_energy(params, q @ q, p @ p))
 
 
-def equations_of_motion(params, state):
-    """Canonical equations: dq/dt = p/D, dp/dt = lambda*q*(p^2+omega^2 q^2)/D^2 - omega^2 q/D."""
-    q, p = state.q, state.p
+def _flow(params, q, p):
     lam, om2 = params.lam, params.omega**2
     d = 1.0 + lam * (q @ q)
     e2 = p @ p + om2 * (q @ q)
     return p / d, lam * q * e2 / d**2 - om2 * q / d
 
 
-def _rhs(params):
-    lam, om2 = params.lam, params.omega**2
+def equations_of_motion(params, state):
+    """Canonical equations: dq/dt = p/D, dp/dt = lambda*q*(p^2+omega^2 q^2)/D^2 - omega^2 q/D."""
+    return _flow(params, state.q, state.p)
 
+
+def _rhs(params):
     def rhs(_t, z):
         n = z.size // 2
-        q, p = z[:n], z[n:]
-        d = 1.0 + lam * (q @ q)
-        e2 = p @ p + om2 * (q @ q)
-        return np.concatenate([p / d, lam * q * e2 / d**2 - om2 * q / d])
+        return np.concatenate(_flow(params, z[:n], z[n:]))
 
     return rhs
 
@@ -102,30 +102,41 @@ def invariant_names(dim):
     return names
 
 
+def invariant_values(params, q, p):
+    """Values of the invariant family, one row per name of invariant_names().
+
+    q and p have shape (N,) for one phase-space point or (N, T) for T points;
+    the result has shape (K,) or (K, T).  The Fradkin tensor enters on and
+    above the diagonal (it is symmetric).
+    """
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    n = q.shape[0]
+    h = _energy(params, np.sum(q * q, axis=0), np.sum(p * p, axis=0))
+    lsq = (q[:, None] * p[None, :] - p[:, None] * q[None, :]) ** 2
+    rows = [h]
+    rows += [lsq[:m, :m][np.triu_indices(m, 1)].sum(axis=0) for m in range(2, n + 1)]
+    rows += [lsq[n - m :, n - m :][np.triu_indices(m, 1)].sum(axis=0) for m in range(2, n)]
+    i, j = np.triu_indices(n)
+    rows += list(p[i] * p[j] - (2.0 * params.lam * h - params.omega**2) * (q[i] * q[j]))
+    return np.array(rows)
+
+
+def _row_index(dim):
+    """Row of invariant_values() for every invariant name, C_(N) included."""
+    index = {name: k for k, name in enumerate(invariant_names(dim))}
+    index[f"C_({dim})"] = index[f"C^({dim})"]  # the two ladders meet at m = N
+    return index
+
+
 def classical_invariants(params, state):
     """Values of {H, C^(m), C_(m), I_ij} at a phase-space point.
 
-    Returns a dict keyed like invariant_names(); the Fradkin tensor is stored
-    on and above the diagonal (it is symmetric), and the trace identity
-    H = (1/2) sum_i I_ii holds to machine precision.
+    Returns a dict keyed like invariant_names() plus C_(N), an alias of
+    C^(N); the trace identity H = (1/2) sum_i I_ii holds to machine precision.
     """
-    q, p = state.q, state.p
-    n = q.size
-    lam, om2 = params.lam, params.omega**2
-    h = classical_hamiltonian(params, state)
-    lmat = np.outer(q, p) - np.outer(p, q)
-    lsq = lmat**2
-    out = {"H": h}
-    for m in range(2, n + 1):
-        out[f"C^({m})"] = float(np.sum(np.triu(lsq[:m, :m], 1)))
-    for m in range(2, n):
-        out[f"C_({m})"] = float(np.sum(np.triu(lsq[n - m :, n - m :], 1)))
-    out[f"C_({n})"] = out[f"C^({n})"]  # the two ladders meet at m = N
-    imat = np.outer(p, p) - (2.0 * lam * h - om2) * np.outer(q, q)
-    for i in range(n):
-        for j in range(i, n):
-            out[f"I_{i+1}{j+1}"] = float(imat[i, j])
-    return out
+    vals = invariant_values(params, state.q, state.p).tolist()
+    return {name: vals[k] for name, k in _row_index(state.dim).items()}
 
 
 def integrate(params, initial, t_end, tolerance=1e-10, n_samples=501):
@@ -145,19 +156,14 @@ def integrate(params, initial, t_end, tolerance=1e-10, n_samples=501):
     )
     if not sol.success:
         raise IntegrationError(f"integrator aborted: {sol.message}")
-    record = TrajectoryRecord()
-    ref = classical_invariants(params, initial)
-    worst = {k: 0.0 for k in ref}
-    for col, t in zip(sol.y.T, sol.t):
-        st = PhaseState.from_vector(col, t=float(t))
-        record.samples.append(st)
-        vals = classical_invariants(params, st)
-        for k, v0 in ref.items():
-            dev = abs(vals[k] - v0) / max(1.0, abs(v0))
-            if dev > worst[k]:
-                worst[k] = dev
-    record.drift = worst
-    return record
+    n = initial.dim
+    ref = invariant_values(params, initial.q, initial.p)
+    vals = invariant_values(params, sol.y[:n], sol.y[n:])
+    worst = (np.max(np.abs(vals - ref[:, None]), axis=1) / np.maximum(1.0, np.abs(ref))).tolist()
+    return TrajectoryRecord(
+        samples=[PhaseState.from_vector(col, t=float(t)) for col, t in zip(sol.y.T, sol.t)],
+        drift={name: worst[k] for name, k in _row_index(n).items()},
+    )
 
 
 def orbit_closure(params, initial, search_horizon=None, tolerance=1e-12,
@@ -212,68 +218,33 @@ def orbit_closure(params, initial, search_horizon=None, tolerance=1e-12,
     }
 
 
-def _poisson_bracket(params, f, g, state, h=1e-6):
-    """Central finite-difference Poisson bracket {f, g} at a state."""
+def _gradients(params, names, state, h=1e-6):
+    """Central-difference gradients of the named invariants in z = (q, p).
+
+    Coordinate z_k moves by +-h*max(1, |z_k|); the 4N moved points go through
+    one invariant_values() call.  One row per name, columns (dq, dp).
+    """
     n = state.dim
     z = state.as_vector()
-
-    def grad(fun):
-        out = np.empty(2 * n)
-        for k in range(2 * n):
-            step = h * max(1.0, abs(z[k]))
-            zp, zm = z.copy(), z.copy()
-            zp[k] += step
-            zm[k] -= step
-            out[k] = (fun(PhaseState.from_vector(zp)) - fun(PhaseState.from_vector(zm))) / (2 * step)
-        return out
-
-    gf, gg = grad(f), grad(g)
-    return float(gf[:n] @ gg[n:] - gf[n:] @ gg[:n])
-
-
-def poisson_bracket_with_h(params, name, state, h=1e-6):
-    """Finite-difference Poisson bracket {H, I_name} at a state."""
-    return _poisson_bracket(
-        params,
-        lambda s: classical_hamiltonian(params, s),
-        lambda s: classical_invariants(params, s)[name],
-        state,
-        h=h,
-    )
+    steps = h * np.maximum(1.0, np.abs(z))
+    moved = np.concatenate([z[:, None] + np.diag(steps), z[:, None] - np.diag(steps)], axis=1)
+    vals = invariant_values(params, moved[:n], moved[n:])
+    index = _row_index(n)
+    rows = [index[name] for name in names]
+    return (vals[rows, : 2 * n] - vals[rows, 2 * n :]) / (2 * steps)
 
 
 def involution_matrix(params, names, state, h=1e-6):
     """Pairwise Poisson brackets among named invariants (antisymmetric part)."""
-    k = len(names)
-    out = np.zeros((k, k))
-    funcs = [
-        (lambda s, _n=n: classical_invariants(params, s)[_n]) if n != "H"
-        else (lambda s: classical_hamiltonian(params, s))
-        for n in names
-    ]
-    for a in range(k):
-        for b in range(a + 1, k):
-            out[a, b] = _poisson_bracket(params, funcs[a], funcs[b], state, h=h)
-            out[b, a] = -out[a, b]
-    return out
-
-
-def _invariant_jacobian(params, names, state, h=1e-6):
     n = state.dim
-    z = state.as_vector()
-    rows = []
-    for name in names:
-        g = np.empty(2 * n)
-        for k in range(2 * n):
-            step = h * max(1.0, abs(z[k]))
-            zp, zm = z.copy(), z.copy()
-            zp[k] += step
-            zm[k] -= step
-            vp = classical_invariants(params, PhaseState.from_vector(zp))[name]
-            vm = classical_invariants(params, PhaseState.from_vector(zm))[name]
-            g[k] = (vp - vm) / (2 * step)
-        rows.append(g)
-    return np.array(rows)
+    grad = _gradients(params, names, state, h=h)
+    upper = np.triu(grad[:, :n] @ grad[:, n:].T - grad[:, n:] @ grad[:, :n].T, 1)
+    return upper - upper.T
+
+
+def poisson_bracket_with_h(params, name, state, h=1e-6):
+    """Finite-difference Poisson bracket {H, I_name} at a state."""
+    return float(involution_matrix(params, ["H", name], state, h=h)[0, 1])
 
 
 def independence_names(dim, fixed_i=1):
@@ -296,7 +267,7 @@ def independence_rank(params, state, fixed_i=1, names=None, sv_tol=1e-8):
     """
     if names is None:
         names = independence_names(state.dim, fixed_i)
-    jac = _invariant_jacobian(params, names, state)
+    jac = _gradients(params, names, state)
     sv = np.linalg.svd(jac, compute_uv=False)
     if sv[0] == 0:
         return 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -101,6 +102,7 @@ def build_parser():
                    help="also run the similarity/adjoint identity suite")
     v.add_argument("--corrupt", default=None, metavar="LABEL",
                    help="drop the omega^2 term from one Fradkin entry, e.g. I11")
+    v.set_defaults(parser=v)  # --corrupt is checked against --dim after parsing
 
     s = sub.add_parser("spectrum", parents=[common], help="radial bound states vs closed form")
     s.add_argument("--dim", type=_DIM, default=3)
@@ -205,7 +207,7 @@ def cmd_spectrum(args):
         header = ("r", *(f"phi_{args.flavor}_{j}" for j in range(cols.shape[0])))
         rp.dump_csv(rows, header, args.wavefunctions)
     body = rep.to_json()
-    body["max_rel_mismatch"] = rp._sanitize(rep.max_rel_residual)
+    body["max_rel_mismatch"] = rep.max_rel_residual
     report = rp.make_report("spectrum", body, timestamp=not args.no_timestamp)
     csv_text = rp.dump_csv(rp.spectrum_csv_rows(rep.levels), rp.SPECTRUM_CSV_HEADER)
     _emit(args, report, csv_text)
@@ -251,92 +253,66 @@ def cmd_classical(args):
     return 0 if ok else 1
 
 
-def _curve(f, xs):
-    return [f(x) for x in xs]
+def _deformed_vs_flat(prefix, potential, minimum, arg):
+    """Columns and landmarks of figures 3 and 4: an effective potential at
+    lambda = 0.02 against the flat one, with the minimum of each."""
+    deformed, flat = ModelParams(dim=3, lam=0.02), ModelParams(dim=3, lam=0.0)
+    columns = {
+        f"{prefix}_lambda_0.02": partial(potential, deformed, arg),
+        f"{prefix}_lambda_0": partial(potential, flat, arg),
+    }
+
+    def landmarks():
+        m1, m0 = minimum(deformed, arg), minimum(flat, arg)
+        return {
+            "deformed": {"r_min": m1.r_min, "u_min": m1.u_min,
+                         "U_infinity": continuum_threshold(deformed)},
+            "flat": {"r_min": m0.r_min, "u_min": m0.u_min},
+        }
+
+    return columns, landmarks
+
+
+def _figure_table():
+    """Per figure: x name, x values, {column name: f(x)}, landmarks()."""
+    def at(lam):
+        return ModelParams(dim=3, lam=lam)
+
+    curved = at(0.1)
+    potential_lams = (0.0, 0.02, 0.04, 0.06, 0.1)
+    energy_lams = (0.0, 0.01, 0.02, 0.04)
+    return {
+        1: ("r", np.linspace(0.0, 10.0, 501),
+            {"R": partial(scalar_curvature, curved)},
+            lambda: {"R_at_origin": scalar_curvature(curved, 0.0)}),
+        2: ("r", np.linspace(0.0, 30.0, 601),
+            {f"U_lambda_{lam}": partial(oscillator_potential, at(lam)) for lam in potential_lams},
+            lambda: {"U_infinity": {str(lam): continuum_threshold(at(lam))
+                                    for lam in potential_lams}}),
+        3: ("r", np.linspace(0.05, 30.0, 600),
+            *_deformed_vs_flat("U_eff", classical_effective_potential,
+                               classical_effective_minimum, 100.0)),
+        4: ("r", np.linspace(0.5, 30.0, 600),
+            *_deformed_vs_flat("Ueff_quantum", quantum_effective_potential,
+                               quantum_effective_minimum, 10)),
+        5: ("n", range(26),
+            {f"E_lambda_{lam}": partial(closed_form_energy, at(lam)) for lam in energy_lams},
+            lambda: {
+                "E0": {str(lam): closed_form_energy(at(lam), 0) for lam in energy_lams},
+                "E_infinity": {str(lam): continuum_threshold(at(lam)) for lam in energy_lams},
+            }),
+    }
 
 
 def cmd_figures(args):
     os.makedirs(args.dir, exist_ok=True)
-    which = args.which
-    stem = os.path.join(args.dir, f"figure{which}")
-    timestamp = not args.no_timestamp
-    if which == 1:
-        params = ModelParams(dim=3, lam=0.1)
-        rs = np.linspace(0.0, 10.0, 501)
-        rows = [(r, scalar_curvature(params, r)) for r in rs]
-        rp.dump_csv(rows, ("r", "R"), stem + "_curve.csv")
-        landmarks = {"R_at_origin": scalar_curvature(params, 0.0)}
-    elif which == 2:
-        lams = (0.0, 0.02, 0.04, 0.06, 0.1)
-        rs = np.linspace(0.0, 30.0, 601)
-        cols = {
-            lam: _curve(lambda r, _p=ModelParams(dim=3, lam=lam): oscillator_potential(_p, r), rs)
-            for lam in lams
-        }
-        rows = [(r, *(cols[lam][i] for lam in lams)) for i, r in enumerate(rs)]
-        rp.dump_csv(rows, ("r", *(f"U_lambda_{lam}" for lam in lams)), stem + "_curve.csv")
-        landmarks = {
-            "U_infinity": {str(lam): continuum_threshold(ModelParams(dim=3, lam=lam)) for lam in lams}
-        }
-    elif which == 3:
-        c_n = 100.0
-        rs = np.linspace(0.05, 30.0, 600)
-        deformed = ModelParams(dim=3, lam=0.02)
-        flat = ModelParams(dim=3, lam=0.0)
-        rows = [
-            (
-                r,
-                classical_effective_potential(deformed, c_n, r),
-                classical_effective_potential(flat, c_n, r),
-            )
-            for r in rs
-        ]
-        rp.dump_csv(rows, ("r", "U_eff_lambda_0.02", "U_eff_lambda_0"), stem + "_curve.csv")
-        m1 = classical_effective_minimum(deformed, c_n)
-        m0 = classical_effective_minimum(flat, c_n)
-        landmarks = {
-            "deformed": {"r_min": m1.r_min, "u_min": m1.u_min,
-                         "U_infinity": continuum_threshold(deformed)},
-            "flat": {"r_min": m0.r_min, "u_min": m0.u_min},
-        }
-    elif which == 4:
-        l = 10
-        rs = np.linspace(0.5, 30.0, 600)
-        deformed = ModelParams(dim=3, lam=0.02)
-        flat = ModelParams(dim=3, lam=0.0)
-        rows = [
-            (
-                r,
-                quantum_effective_potential(deformed, l, r),
-                quantum_effective_potential(flat, l, r),
-            )
-            for r in rs
-        ]
-        rp.dump_csv(rows, ("r", "Ueff_quantum_lambda_0.02", "Ueff_quantum_lambda_0"), stem + "_curve.csv")
-        m1 = quantum_effective_minimum(deformed, l)
-        m0 = quantum_effective_minimum(flat, l)
-        landmarks = {
-            "deformed": {"r_min": m1.r_min, "u_min": m1.u_min,
-                         "U_infinity": continuum_threshold(deformed)},
-            "flat": {"r_min": m0.r_min, "u_min": m0.u_min},
-        }
-    else:
-        lams = (0.0, 0.01, 0.02, 0.04)
-        ns = range(0, 26)
-        cols = {
-            lam: [closed_form_energy(ModelParams(dim=3, lam=lam), n) for n in ns]
-            for lam in lams
-        }
-        rows = [(n, *(cols[lam][i] for lam in lams)) for i, n in enumerate(ns)]
-        rp.dump_csv(rows, ("n", *(f"E_lambda_{lam}" for lam in lams)), stem + "_curve.csv")
-        landmarks = {
-            "E0": {str(lam): cols[lam][0] for lam in lams},
-            "E_infinity": {
-                str(lam): continuum_threshold(ModelParams(dim=3, lam=lam)) for lam in lams
-            },
-        }
-    sidecar = rp.make_report("figure", {"figure": which, "landmarks": landmarks},
-                             timestamp=timestamp)
+    stem = os.path.join(args.dir, f"figure{args.which}")
+    x_name, xs, columns, landmarks = _figure_table()[args.which]
+    # point by point, so every cell is the scalar function's own float
+    rows = [(x, *(f(x) for f in columns.values())) for x in xs]
+    rp.dump_csv(rows, (x_name, *columns), stem + "_curve.csv")
+    sidecar = rp.make_report("figure", {"figure": args.which, "landmarks": landmarks()},
+                             timestamp=not args.no_timestamp)
     rp.dump_json(sidecar, stem + "_landmarks.json")
     sys.stdout.write(f"wrote {stem}_curve.csv and {stem}_landmarks.json\n")
     return 0
@@ -350,7 +326,7 @@ def main(argv=None):
         try:
             fradkin_label_indices(args.corrupt, args.dim)
         except ValueError as exc:
-            parser.error(f"argument --corrupt: {exc}")
+            args.parser.error(f"argument --corrupt: {exc}")
     handlers = {
         "verify": cmd_verify,
         "spectrum": cmd_spectrum,

@@ -130,20 +130,12 @@ class SpectrumReport:
             "l": self.problem.l,
             "flavor": self.problem.flavor,
             "grid": {"q_max": self.problem.grid.q_max, "M": self.problem.grid.m},
-            "threshold": _json_number(self.threshold),
+            "threshold": self.threshold,
             "count_below_threshold": self.count_below_threshold,
-            "max_rel_residual": _json_number(self.max_rel_residual),
+            "max_rel_residual": self.max_rel_residual,
             "levels": levels,
             "warnings": list(self.warnings),
         }
-
-
-def _json_number(x):
-    if math.isinf(x):
-        return "inf"
-    if math.isnan(x):
-        return "nan"
-    return x
 
 
 def gaussian_tail_radius(params, n, tail=1e-12):
@@ -179,9 +171,9 @@ def effective_1d_problem(problem):
 
     Returns (diag, offdiag, q_nodes, r_nodes).  Dirichlet conditions at both
     ends; the reduced wave function behaves like r^(l+(N-1)/2) at the origin,
-    which vanishes for every (N, l) except N = 2, l = 0 (that exceptional case
-    is still solved with the same condition, with a warning-level caveat in
-    the report).
+    which vanishes for every (N, l) except N = 2, l = 0.  There both Frobenius
+    solutions vanish at r = 0, so the condition does not select the regular
+    one; the case is still solved, and the report warns.
     """
     params, grid = problem.params, problem.grid
     if grid is None:
@@ -212,8 +204,10 @@ def _grid_warnings(problem, dq):
         )
     if params.dim == 2 and problem.l == 0:
         out.append(
-            "N=2, l=0: effective potential unbounded below at the origin; "
-            "Dirichlet condition used, levels excluded from tight tolerances"
+            "N=2, l=0: the short-range term of U_eff is the critical -hbar^2/(4 r^2); "
+            "both Frobenius solutions, r^(1/2) and r^(1/2) log r, vanish at r = 0, so the "
+            "Dirichlet end of the Q grid does not select the regular one and the levels "
+            "miss the closed form; use --flavor all (flux form with p(0) = 0)"
         )
     return out
 
@@ -235,13 +229,9 @@ def solve_bound_states(problem, k=6, eigenvectors=False):
         )
     diag, off, q, r = effective_1d_problem(problem)
     take = min(len(diag), k + 4)
-    if eigenvectors:
-        vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, take - 1))
-    else:
-        vals = eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, take - 1), eigvals_only=True
-        )
-        vecs = None
+    result = eigh_tridiagonal(diag, off, select="i", select_range=(0, take - 1),
+                              eigvals_only=not eigenvectors)
+    vals, vecs = result if eigenvectors else (result, None)
     threshold = continuum_threshold(problem.params)
     trusted = vals[vals < (1.0 - THRESHOLD_MARGIN) * threshold] if math.isfinite(threshold) else vals
     report = SpectrumReport(

@@ -247,3 +247,86 @@ def test_radial_reduction_triple_equality():
     # radial state: vanishing angular momentum
     radial = cl.PhaseState(q=np.array([0.7, 0.7, 0.1]), p=np.array([0.7, 0.7, 0.1]))
     assert cl.radial_reduction_check(PARAMS, radial)
+
+
+def _reference_gradient(fun, state, h=1e-6):
+    """Central differences of fun(PhaseState) in z = (q, p), one coordinate at a time."""
+    z = state.as_vector()
+    out = np.empty(z.size)
+    for k in range(z.size):
+        step = h * max(1.0, abs(z[k]))
+        zp, zm = z.copy(), z.copy()
+        zp[k] += step
+        zm[k] -= step
+        out[k] = (fun(cl.PhaseState.from_vector(zp)) - fun(cl.PhaseState.from_vector(zm))) / (2 * step)
+    return out
+
+
+def _reference_bracket(params, f, g, state):
+    n = state.dim
+    gf = _reference_gradient(lambda s: cl.classical_invariants(params, s)[f], state)
+    gg = _reference_gradient(lambda s: cl.classical_invariants(params, s)[g], state)
+    return gf[:n] @ gg[n:] - gf[n:] @ gg[:n]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_integrate_drift_matches_per_sample_loop(dim):
+    params = ModelParams(dim=dim, lam=0.03)
+    st = cl.random_state(params, np.random.default_rng(100 + dim), dim)
+    rec = cl.integrate(params, st, 30.0, tolerance=1e-10)
+    ref = cl.classical_invariants(params, st)
+    worst = {name: 0.0 for name in ref}
+    for sample in rec.samples:
+        vals = cl.classical_invariants(params, sample)
+        for name, v0 in ref.items():
+            worst[name] = max(worst[name], abs(vals[name] - v0) / max(1.0, abs(v0)))
+    assert rec.drift.keys() == worst.keys()
+    assert f"C_({dim})" in rec.drift
+    for name in worst:
+        assert abs(rec.drift[name] - worst[name]) <= 1e-15, name
+    # the array evaluator agrees with the dict view column by column
+    qs = np.array([s.q for s in rec.samples]).T
+    ps = np.array([s.p for s in rec.samples]).T
+    table = cl.invariant_values(params, qs, ps)
+    names = cl.invariant_names(dim)
+    assert table.shape == (len(names), len(rec.samples))
+    for col, sample in zip(table.T[::50], rec.samples[::50]):
+        inv = cl.classical_invariants(params, sample)
+        assert np.allclose(col, [inv[name] for name in names], rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_fd_brackets_and_rank_match_reference(dim):
+    params = ModelParams(dim=dim, lam=0.02, omega=1.3)
+    st = cl.random_state(params, np.random.default_rng(200 + dim), dim)
+    names = cl.invariant_names(dim) + [f"C_({dim})"]
+    for name in names[1:]:
+        expect = _reference_bracket(params, "H", name, st)
+        assert abs(cl.poisson_bracket_with_h(params, name, st) - expect) < 1e-8, name
+    family = cl.independence_names(dim)
+    mat = cl.involution_matrix(params, family, st)
+    for a, fa in enumerate(family):
+        assert mat[a, a] == 0.0
+        for b in range(a + 1, len(family)):
+            expect = _reference_bracket(params, fa, family[b], st)
+            assert abs(mat[a, b] - expect) < 1e-8, (fa, family[b])
+            assert mat[b, a] == -mat[a, b]
+    # the rank of the reference Jacobian, with the same singular-value rule
+    for subset in (family, ["H", f"C^({dim})", "I_11", "I_22"], names):
+        jac = np.array([
+            _reference_gradient(lambda s, _n=name: cl.classical_invariants(params, s)[_n], st)
+            for name in subset
+        ])
+        sv = np.linalg.svd(jac, compute_uv=False)
+        assert cl.independence_rank(params, st, names=subset) == int(np.sum(sv > 1e-8 * sv[0]))
+    assert cl.independence_rank(params, st) == 2 * dim - 1
+
+
+def test_involution_matrix_accepts_c_lower_n():
+    rng = np.random.default_rng(43)
+    st = cl.random_state(PARAMS, rng, 3)
+    mat = cl.involution_matrix(PARAMS, ["H", "C_(2)", "C_(3)", "C^(3)"], st)
+    assert mat.shape == (4, 4)
+    assert np.max(np.abs(mat)) < 1e-6
+    inv = cl.classical_invariants(PARAMS, st)
+    assert inv["C_(3)"] == inv["C^(3)"]

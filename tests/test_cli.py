@@ -62,6 +62,9 @@ def test_verify_bad_flags_exit_2(capsys):
         assert exc.value.code == 2, argv
         err = capsys.readouterr().err
         assert "usage:" in err and "Traceback" not in err, argv
+        if "--corrupt" in argv:
+            # the label is checked after parsing, but reported by verify's own parser
+            assert err.startswith("usage: darboux3 verify"), argv
 
 
 def test_verify_similarity_flag(capsys):
@@ -113,6 +116,21 @@ def test_spectrum_wavefunction_export(capsys, tmp_path):
     rep = json.loads(out)
     assert rep["levels"][0]["dim_Y_l"] == 1
     assert rep["levels"][1]["level_degeneracy"] == 6  # n = 2, N = 3
+
+
+def test_spectrum_n2_l0_needs_flux_form(capsys):
+    # both Frobenius solutions vanish at r = 0, so the Q-grid Dirichlet end
+    # misses the closed form; the flux-form solvers (p(0) = 0) meet it
+    code, out = run_cli(capsys, "spectrum", "--dim", "2", "--l", "0", "--no-timestamp")
+    assert code == 1
+    rep = json.loads(out)
+    assert any("N=2, l=0" in w and "--flavor all" in w for w in rep["warnings"])
+    assert rep["max_rel_mismatch"] > 1e-5
+    code, out = run_cli(
+        capsys, "spectrum", "--dim", "2", "--l", "0", "--flavor", "all", "--no-timestamp"
+    )
+    assert code == 0
+    assert json.loads(out)["max_rel_mismatch"] < 1e-9
 
 
 def test_spectrum_all_flavors(capsys):
