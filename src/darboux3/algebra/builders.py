@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import Coefficient, GaussRat, Poly, q_squared
+from .ring import I_UNIT, Coefficient, GaussRat, Poly, q_squared
 from .operators import OperatorExpr
 
 HAMILTONIAN_FLAVORS = ("schrodinger", "lb", "tlb", "pdm", "tpdm")
@@ -33,7 +33,7 @@ def base_hamiltonian(nq):
     for i in range(nq):
         alpha = [0] * nq
         alpha[i] = 2
-        terms[tuple(alpha)] = Coefficient(Poly.constant(nq, Fraction(1, 2)), 1, _canonical=True)
+        terms[tuple(alpha)] = Coefficient(Poly.constant(nq, Fraction(1, 2)), 1)
     potential = Coefficient(_omega_sq(nq) * q_squared(nq) * Fraction(1, 2), 1)
     terms[(0,) * nq] = potential
     return OperatorExpr(nq, terms)
@@ -67,7 +67,7 @@ def potential_v1(nq):
     for i in range(nq):
         alpha = [0] * nq
         alpha[i] = 1
-        num = Poly.variable(nq, i) * _hbar(nq) * _lam(nq) * GaussRat(0, 1)
+        num = Poly.variable(nq, i) * _hbar(nq) * _lam(nq) * I_UNIT
         out._put(tuple(alpha), Coefficient(num, 2))
     return out
 
@@ -192,7 +192,7 @@ def build_fradkin(flavor, nq):
                 for a, b in ((i, j), (j, i)):
                     al = [0] * nq
                     al[b] += 1
-                    num = Poly.variable(nq, a) * _hbar(nq) * lam * GaussRat(0, 1)
+                    num = Poly.variable(nq, a) * _hbar(nq) * lam * I_UNIT
                     entry._put(tuple(al), Coefficient(num, 1))
                 entry._put((0,) * nq, Coefficient(qij * hb2 * _lam(nq, 2) * (-3), 2))
                 if i == j:

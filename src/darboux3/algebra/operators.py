@@ -8,8 +8,8 @@ push-through rule
     p^alpha f(q) = sum_{gamma <= alpha} binom(alpha, gamma) (-i*hbar)^|gamma|
                    (d^gamma f) p^(alpha - gamma),
 
-so two operators are equal iff their term maps coincide after canonical
-reduction of every coefficient.
+so two operators are equal iff their term maps coincide once every
+coefficient is put in canonical form, which equality does on demand.
 """
 
 from __future__ import annotations
@@ -91,7 +91,8 @@ class OperatorExpr:
         return max((sum(a) for a in self.terms), default=0)
 
     def max_d_power(self):
-        return max((c.dpow for c in self.terms.values()), default=0)
+        """Largest D-power of any coefficient in canonical form."""
+        return max((c.canonical().dpow for c in self.terms.values()), default=0)
 
     def _put(self, alpha, coeff):
         old = self.terms.get(alpha)
@@ -222,10 +223,6 @@ class OperatorExpr:
             out._put(a, c.substitute_lambda_zero())
         return out
 
-    def eval_coefficients(self, values):
-        """Numeric coefficient map {alpha: complex} at given variable values."""
-        return {a: c.eval(values) for a, c in self.terms.items()}
-
     # -- printing ------------------------------------------------------------
 
     def __str__(self):
@@ -244,35 +241,37 @@ class OperatorExpr:
 
 
 def _push_through(alpha, coeff):
-    """Yield (new_alpha, coefficient) pairs for p^alpha * coeff(q)."""
+    """Yield (new_alpha, coefficient) pairs for p^alpha * coeff(q).
+
+    Each derivative d^gamma coeff is taken once, from d^(gamma - e_i) coeff
+    with i the last axis of gamma; a zero derivative stays out of the table,
+    and so does every derivative above it.
+    """
     nq = coeff.num.nq
     if all(k == 0 for k in alpha):
         yield alpha, coeff
         return
     ih = Poly.idx_hbar(nq)
-    ranges = [range(k + 1) for k in alpha]
-    for gamma in _cartesian(*ranges):
+    derivs = {}
+    for gamma in _cartesian(*(range(k + 1) for k in alpha)):
         g = sum(gamma)
         c = coeff
-        ok = True
-        for i, gi in enumerate(gamma):
-            for _ in range(gi):
-                c = c.diff_q(i)
-                if c.is_zero():
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok or c.is_zero():
+        if g:
+            i = max(j for j, gj in enumerate(gamma) if gj)
+            lower = derivs.get(gamma[:i] + (gamma[i] - 1,) + gamma[i + 1:])
+            if lower is None:
+                continue
+            c = lower.diff_q(i)
+        if c.is_zero():
             continue
+        derivs[gamma] = c
         if g:
             binom = 1
             for ai, gi in zip(alpha, gamma):
                 binom *= comb(ai, gi)
             e = [0] * (nq + 3)
             e[ih] = g
-            factor = Poly.monomial(nq, e, _MINUS_I_POW[g % 4] * binom)
-            c = c * factor
+            c = c * Poly.monomial(nq, e, _MINUS_I_POW[g % 4] * binom)
         yield tuple(a - g_ for a, g_ in zip(alpha, gamma)), c
 
 

@@ -13,15 +13,15 @@ Grammar (EBNF, also reproduced in the README):
 Indices run from 1 to N.  Division is only defined when the divisor is a
 scalar (a Gaussian-rational constant) or a power of D times a scalar; negative
 exponents are likewise restricted to such invertible atoms.  The result of a
-parse is always in normal-ordered canonical form because every product is
-evaluated inside the operator algebra.
+parse is always normal-ordered because every product is evaluated inside the
+operator algebra; its coefficients are reduced when it is printed or compared.
 """
 
 from __future__ import annotations
 
 import re
 
-from .ring import Coefficient, GaussRat, Poly, divide_by_d
+from .ring import I_UNIT, Coefficient, GaussRat, divide_by_d, d_poly
 from .operators import OperatorExpr
 
 
@@ -155,7 +155,7 @@ class _Parser:
             return OperatorExpr.scalar(self.nq, val)
         if kind == "name":
             if val == "i":
-                return OperatorExpr.scalar(self.nq, GaussRat(0, 1))
+                return OperatorExpr.scalar(self.nq, I_UNIT)
             if val in ("lambda", "omega", "hbar"):
                 return OperatorExpr.symbol(self.nq, val)
             if val == "D":
@@ -188,22 +188,15 @@ def _invert(x, nq, pos):
     s = num.constant_value()
     if not s:
         raise ParseError("division by zero", pos)
-    inv_scalar = GaussRat(1) / s
-    net = c.dpow - extra  # x = s * D^(extra - dpow)  =>  1/x = (1/s) * D^(dpow - extra)
-    if net >= 0:
-        from .ring import d_poly
-
-        numerator = d_poly(nq) ** net * inv_scalar
-        coeff = Coefficient(numerator, 0, _canonical=True)
-    else:
-        coeff = Coefficient(Poly.constant(nq, inv_scalar), -net, _canonical=True)
+    # x = s * D^extra / D^dpow  =>  1/x = (1/s) * D^dpow / D^extra
+    coeff = Coefficient(d_poly(nq) ** c.dpow * (GaussRat(1) / s), extra)
     return OperatorExpr.from_coefficient(nq, coeff)
 
 
 def parse(text, nq):
     """Parse an operator expression string for dimension ``nq``.
 
-    Returns the normal-ordered canonical OperatorExpr; raises ParseError with
+    Returns the normal-ordered OperatorExpr; raises ParseError with
     the offending position on bad syntax or an illegal division.
     """
     p = _Parser(text, nq)

@@ -5,19 +5,14 @@ Coefficients of normal-ordered operators live in the ring
     Q(i)[q_1..q_N, lambda, omega, hbar][1/D],      D = 1 + lambda*(q_1^2+...+q_N^2),
 
 i.e. polynomials with Gaussian-rational coefficients divided by powers of the
-single irreducible polynomial D.  Canonical form only ever asks whether D
-divides a numerator, so no general multivariate GCD machinery lives here.
-
-That question is settled in two steps.  If D divides p, then p vanishes on the
-whole hypersurface D = 0, in particular at the fixed rational point
-q_i = i-th prime, lambda = -1/S0 (S0 = sum of the q_i^2), omega and hbar the
-next two primes.  ``divide_by_d`` evaluates p there exactly (over the Gaussian
-integers, after multiplying through by S0^deg_lambda(p)); a nonzero value
-proves D does not divide p, and the answer is ``None`` at once.  The point test
-can never reject a true multiple of D, because a multiple vanishes at every
-point of D = 0; a zero value only means the full trial division decides.
-Almost all canonicalization requests are non-multiples, so most of them end
-after one evaluation.
+single irreducible polynomial D.  Arithmetic never reduces: a sum keeps its
+numerator over the larger D-power and a product adds the powers.  Only
+printing and comparison need the canonical form, and ``Coefficient.canonical``
+gets it by dividing D out of the numerator for as long as D divides it.  That
+question is settled by trial division in ``divide_by_d``, so no general
+multivariate GCD machinery lives here.  The verifier asks only whether a
+result is zero, and num/D^k is zero exactly when num is, so a passing check
+never divides at all.
 
 Variable layout inside exponent tuples: q_1..q_N first, then lambda, omega,
 hbar.  All arithmetic is exact: a ``Poly`` holds Gaussian-integer numerators
@@ -125,9 +120,7 @@ def _as_gauss(x):
     return NotImplemented
 
 
-ONE = GaussRat(1)
 I_UNIT = GaussRat(0, 1)
-MINUS_I = GaussRat(0, -1)
 
 
 class Poly:
@@ -399,47 +392,12 @@ def q_squared(nq):
     return out
 
 
-@cache
-def _d_zero_point(nq):
-    """Integer values of q_1..q_N, -1 in the lambda slot, omega, hbar; and S0.
-
-    The q_i, omega and hbar take the first nq + 2 primes; lambda = -1/S0 with
-    S0 = sum of the q_i^2 puts the point on D = 0.  Scaled by S0^K for K at
-    least the lambda degree, lambda^k becomes (-1)^k * S0^(K-k).
-    """
-    primes = []
-    n = 2
-    while len(primes) < nq + 2:
-        if all(n % p for p in primes):
-            primes.append(n)
-        n += 1
-    values = (*primes[:nq], -1, *primes[nq:])
-    return values, sum(x * x for x in primes[:nq])
-
-
-def _vanishes_on_d_zero(p, kmax):
-    """Whether p is zero at the rational point of D = 0 (exact; see module doc)."""
-    values, s0 = _d_zero_point(p.nq)
-    il = p.nq
-    re = im = 0
-    for e, (a, b) in p.terms.items():
-        w = s0 ** (kmax - e[il])
-        for x, k in zip(values, e):
-            if k:
-                w *= x ** k
-        re += a * w
-        im += b * w
-    return not (re or im)
-
-
 def divide_by_d(p):
     """Exact quotient p / D, or None when D does not divide p.
 
-    A nonzero value at the rational point of D = 0 rules out divisibility
-    without dividing (see the module docstring).  Otherwise p is viewed as a
-    polynomial in lambda with coefficients in the remaining variables; since
-    D = 1 + lambda*S with S = q^2, the quotient coefficients satisfy
-    b_0 = c_0, b_k = c_k - b_{k-1}*S, closing only when the top
+    p is viewed as a polynomial in lambda with coefficients in the remaining
+    variables; since D = 1 + lambda*S with S = q^2, the quotient coefficients
+    satisfy b_0 = c_0, b_k = c_k - b_{k-1}*S, closing only when the top
     lambda-coefficient matches.  The numerators are divided; the common
     denominator carries over unchanged.
     """
@@ -448,7 +406,7 @@ def divide_by_d(p):
     nq = p.nq
     il = Poly.idx_lambda(nq)
     kmax = p.degree_in(il)
-    if kmax == 0 or not _vanishes_on_d_zero(p, kmax):
+    if kmax == 0:
         return None
     # split into lambda-degree slices (with the lambda exponent removed)
     slices = [{} for _ in range(kmax + 1)]
@@ -480,51 +438,55 @@ def divide_by_d(p):
 
 
 class Coefficient:
-    """Rational function numerator / D^dpow in canonical form.
+    """Rational function numerator / D^dpow, stored as built.
 
-    Canonical: zero is (0, 0); a nonzero numerator with dpow > 0 is not
-    divisible by D.  D is irreducible, hence prime, so products of canonical
-    coefficients with positive dpow stay canonical.
+    The arguments are kept as given, so the numerator may still hold factors
+    of D.  ``canonical`` divides them out; equality, printing and
+    ``OperatorExpr.max_d_power`` read that form, arithmetic never does.
     """
 
     __slots__ = ("num", "dpow")
 
-    def __init__(self, num, dpow=0, _canonical=False):
-        if num.is_zero():
-            self.num, self.dpow = num, 0
-            return
-        if not _canonical:
-            while dpow > 0:
-                q = divide_by_d(num)
-                if q is None:
-                    break
-                num, dpow = q, dpow - 1
+    def __init__(self, num, dpow=0):
         self.num = num
         self.dpow = dpow
 
     @staticmethod
     def zero(nq):
-        return Coefficient(Poly.zero(nq), 0, _canonical=True)
+        return Coefficient(Poly.zero(nq))
 
     @staticmethod
     def constant(nq, c):
-        return Coefficient(Poly.constant(nq, c), 0, _canonical=True)
+        return Coefficient(Poly.constant(nq, c))
+
+    def canonical(self):
+        """The same function with D divided out of the numerator.
+
+        Canonical: zero is (0, 0); a nonzero numerator with dpow > 0 is not
+        divisible by D.  D is irreducible, so this form is unique.
+        """
+        num, dpow = self.num, self.dpow
+        while dpow > 0:
+            q = divide_by_d(num)
+            if q is None:
+                break
+            num, dpow = q, dpow - 1
+        return Coefficient(num, dpow)
 
     def is_zero(self):
         return self.num.is_zero()
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Coefficient)
-            and self.dpow == other.dpow
-            and self.num == other.num
-        )
+        if not isinstance(other, Coefficient):
+            return False
+        a, b = self.canonical(), other.canonical()
+        return a.dpow == b.dpow and a.num == b.num
 
     def __bool__(self):
         return not self.num.is_zero()
 
     def __neg__(self):
-        return Coefficient(-self.num, self.dpow, _canonical=True)
+        return Coefficient(-self.num, self.dpow)
 
     def __add__(self, other):
         if self.is_zero():
@@ -541,14 +503,9 @@ class Coefficient:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            return Coefficient(self.num * other, self.dpow, _canonical=True)
-        if isinstance(other, Poly):
-            other = Coefficient(other)
-        k = self.dpow + other.dpow
-        # canonical unless a dpow-0 factor smuggles in D factors
-        need_reduce = k > 0 and (self.dpow == 0 or other.dpow == 0)
-        return Coefficient(self.num * other.num, k, _canonical=not need_reduce)
+        if isinstance(other, Coefficient):
+            return Coefficient(self.num * other.num, self.dpow + other.dpow)
+        return Coefficient(self.num * other, self.dpow)
 
     __rmul__ = __mul__
 
@@ -557,7 +514,7 @@ class Coefficient:
         nq = self.num.nq
         dn = self.num.diff(i)
         if self.dpow == 0:
-            return Coefficient(dn, 0, _canonical=True)
+            return Coefficient(dn)
         # (dn*D - 2*k*lambda*q_i*num) / D^(k+1)
         e = [0] * (nq + 3)
         e[i] = 1
@@ -566,21 +523,22 @@ class Coefficient:
         return Coefficient(dn * _d_power(nq, 1) - lam_qi * self.num, self.dpow + 1)
 
     def conjugate(self):
-        return Coefficient(self.num.conjugate(), self.dpow, _canonical=True)
+        return Coefficient(self.num.conjugate(), self.dpow)
 
     def substitute_lambda_zero(self):
         """Set lambda = 0 (D becomes 1, the denominator disappears)."""
         nq = self.num.nq
-        return Coefficient(self.num.substitute_zero(Poly.idx_lambda(nq)), 0, _canonical=True)
+        return Coefficient(self.num.substitute_zero(Poly.idx_lambda(nq)))
 
     def eval(self, values):
         d = _d_power(self.num.nq, 1).eval(values)
         return self.num.eval(values) / d ** self.dpow
 
     def __str__(self):
-        if self.dpow == 0:
-            return f"({self.num})"
-        suffix = "/D" if self.dpow == 1 else f"/D^{self.dpow}"
-        return f"({self.num}){suffix}"
+        c = self.canonical()
+        if c.dpow == 0:
+            return f"({c.num})"
+        suffix = "/D" if c.dpow == 1 else f"/D^{c.dpow}"
+        return f"({c.num}){suffix}"
 
     __repr__ = __str__

@@ -1,7 +1,7 @@
 """Symbolic verification suites: commutator checks, similarity identities.
 
-Every check reduces an operator identity to canonical normal-ordered form and
-asks for the exact zero operator; no numeric evaluation is involved.  A
+Every check reduces an operator identity to normal-ordered form and asks for
+the exact zero operator; no numeric evaluation is involved.  A
 nonzero residual is kept (pretty-printed) so a failing run shows what is left.
 """
 
@@ -21,10 +21,10 @@ from .builders import (
     potential_u2,
     sl2_generators,
 )
-from .ring import Poly
+from .ring import I_UNIT, Coefficient, GaussRat, Poly
 
-# commutators arising from degree-2 observables stay within these bounds;
-# anything larger signals a canonicalization bug upstream
+# commutators arising from degree-2 observables stay within these bounds
+# (the D-power in canonical form); anything larger signals a bug upstream
 MAX_COMMUTATOR_MOMENTUM_DEGREE = 4
 MAX_COMMUTATOR_D_POWER = 6
 
@@ -108,9 +108,8 @@ def verify_theorem(flavor, nq, parts=ALL_PARTS, fradkin=None):
                      direct-quantization tensor
 
     A prebuilt (possibly corrupted) ``fradkin`` tensor may be injected for
-    mutation testing.  Algebraic independence (part iii of the statements) has
-    no finite symbolic decision procedure here and is delegated to the
-    numerical rank check of the classical module.
+    mutation testing.  Functional independence (part iii of the statements)
+    is not checked here; it is delegated to the rank check in classical.py.
     """
     if flavor not in FRADKIN_FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -159,7 +158,7 @@ def verify_theorem(flavor, nq, parts=ALL_PARTS, fradkin=None):
 
     if "sl2" in parts:
         jp, jm, j3 = sl2_generators(nq)
-        ih = OperatorExpr.symbol(nq, "hbar").scale(_i())
+        ih = OperatorExpr.symbol(nq, "hbar").scale(I_UNIT)
         report.checks.append(
             _residual_check("[J3, J+]", "2i*hbar*J+", j3.commutator(jp) - (ih * jp) * 2)
         )
@@ -184,12 +183,6 @@ def verify_theorem(flavor, nq, parts=ALL_PARTS, fradkin=None):
                     )
                 )
     return report
-
-
-def _i():
-    from .ring import GaussRat
-
-    return GaussRat(0, 1)
 
 
 def similarity_checks(nq):
@@ -235,8 +228,6 @@ def similarity_checks(nq):
 
 
 def _conformal_check(nq):
-    from .ring import GaussRat
-
     u2 = potential_u2(nq)
     r = curvature_coefficient(nq)
     factor = Fraction(nq - 2, 8 * (nq - 1))
@@ -249,8 +240,6 @@ def _conformal_check(nq):
 
 
 def _hbar_sq_coeff(nq):
-    from .ring import Coefficient
-
     return Coefficient(Poly.variable(nq, Poly.idx_hbar(nq), 2))
 
 
@@ -281,8 +270,6 @@ def corrupt_fradkin(tensor, label):
     """
     nq = len(tensor)
     i, j = fradkin_label_indices(label, nq)
-    from .ring import Coefficient
-
     qij = Poly.variable(nq, i) * Poly.variable(nq, j) * Poly.variable(
         nq, Poly.idx_omega(nq), 2
     )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from darboux3.algebra import ring
+from darboux3.algebra import ring, verify
 from darboux3.algebra import (
     Coefficient,
     GaussRat,
@@ -155,25 +155,25 @@ def test_divide_by_d_random_polynomials_match_reference(data, nq):
     _check_against_reference(nq, data.draw(_poly_terms(nq, max_terms=8)))
 
 
+# A rational point of D = 0: q_i the first N primes, lambda = -1/sum q_i^2,
+# omega and hbar the next two primes.  x0 of q1, omega and hbar there, per N.
+_D_ZERO_X0 = {2: (2, 5, 7), 3: (2, 7, 11)}
+
+
 @_PROPERTY
 @given(st.data(), st.sampled_from([2, 3]), st.integers(0, 2))
 def test_divide_by_d_vanishing_non_multiples_match_reference(data, nq, slot):
-    # r * (x - x0) vanishes at the rejection point (x one of q1, omega, hbar
-    # at its value x0 there) and, plus a multiple of D, is divisible by D
-    # only when r is; the point test cannot decide these
-    values, _ = ring._d_zero_point(nq)
+    # r * (x - x0) vanishes at that point (x one of q1, omega, hbar) and, plus
+    # a multiple of D, is divisible by D only when r is; a test of the value
+    # at one point of D = 0 cannot decide these
     idx = (0, nq + 1, nq + 2)[slot]
     x = {tuple(int(j == idx) for j in range(nq + 3)): GaussRat(1),
-         (0,) * (nq + 3): GaussRat(-values[idx])}
+         (0,) * (nq + 3): GaussRat(-_D_ZERO_X0[nq][slot])}
     r = data.draw(_poly_terms(nq, max_terms=3))
     m = data.draw(_poly_terms(nq, max_terms=3))
     terms = _dict_mul(r, x)
     for e, c in _dict_mul(m, _d_dict(nq)).items():
         _dict_add(terms, e, c)
-    p = _poly_of(nq, terms)
-    kmax = p.degree_in(nq)
-    if kmax:
-        assert ring._vanishes_on_d_zero(p, kmax)
     _check_against_reference(nq, terms)
 
 
@@ -193,18 +193,52 @@ def test_cached_d_powers_unchanged_by_verification():
 def test_coefficient_canonical_form():
     nq = 2
     d = d_poly(nq)
-    # D^2*q1 / D^3 reduces to q1/D
+    # D^2*q1 / D^3 is stored as built and reduces to q1/D
     c = Coefficient(d * d * Poly.variable(nq, 0), 3)
-    assert c.dpow == 1
-    assert c.num == Poly.variable(nq, 0)
+    assert c.dpow == 3
+    assert c.canonical().dpow == 1
+    assert c.canonical().num == Poly.variable(nq, 0)
+    assert c == Coefficient(Poly.variable(nq, 0), 1)
     # zero is unique
-    z = Coefficient(Poly.zero(nq), 5)
+    z = Coefficient(Poly.zero(nq), 5).canonical()
     assert z.dpow == 0 and z.is_zero()
     # sums recombine: q1/D + lambda*q1*q^2/D = q1 * D / D = q1
     lam_q2 = d - Poly.constant(nq, 1)
     total = Coefficient(Poly.variable(nq, 0), 1) + Coefficient(lam_q2 * Poly.variable(nq, 0), 1)
-    assert total.dpow == 0
-    assert total.num == Poly.variable(nq, 0)
+    assert total.canonical().dpow == 0
+    assert total.canonical().num == Poly.variable(nq, 0)
+    assert str(total) == "(q1)"
+
+
+@_PROPERTY
+@given(st.data(), st.sampled_from([2, 3]), st.integers(0, 3), st.integers(0, 2))
+def test_canonical_form_ignores_stored_d_factors(data, nq, j, k):
+    n = _poly_of(nq, data.draw(_poly_terms(nq)))
+    padded = Coefficient(n * d_poly(nq) ** j, k + j)
+    plain = Coefficient(n, k)
+    assert padded == plain
+    assert str(padded) == str(plain)
+    canon = padded.canonical()
+    again = canon.canonical()
+    assert (again.num, again.dpow) == (canon.num, canon.dpow)
+    if canon.dpow > 0:
+        assert divide_by_d(canon.num) is None
+
+
+def _d_power_guard(num, dpow):
+    f = OperatorExpr.from_coefficient(2, Coefficient(num, dpow))
+    return verify._commutator_check("f", f, "p1", OperatorExpr.momentum(2, 0))
+
+
+def test_commutator_d_power_guard_reads_canonical_power():
+    # [q1/D^k, p1] = i*hbar*(D - 2k*lambda*q1^2)/D^(k+1), canonical power k+1
+    q1, d3 = Poly.variable(2, 0), d_poly(2) ** 3
+    with pytest.raises(AssertionError, match="D-power 7"):
+        _d_power_guard(q1, 6)
+    with pytest.raises(AssertionError, match="D-power 7"):
+        _d_power_guard(q1 * d3, 9)  # q1/D^6 stored above the bound
+    check = _d_power_guard(q1 * d3, 7)  # q1/D^4: stored power 8 after [., p1]
+    assert not check.commutator_zero and check.residual.endswith("/D^5")
 
 
 def test_canonical_commutation_relation():
