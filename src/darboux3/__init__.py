@@ -3,7 +3,8 @@
 Subpackages and modules:
   algebra   exact Weyl-algebra engine and symmetry verification
   model     closed-form scalar functions (geometry, potentials, spectrum)
-  classical numerical classical dynamics and conserved quantities
+  classical classical dynamics: integration, closed-form period and
+            trajectory, conserved quantities
   spectra   radial bound-state solvers and closed-form eigenfunctions
   cli       command-line entry point (verify / spectrum / classical / figures)
 """

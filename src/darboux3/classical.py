@@ -1,21 +1,26 @@
 """Classical mechanics of the curved oscillator: trajectories, conserved
 quantities, and numerical superintegrability evidence.
 
-The flow is not separable, so integration uses an adaptive high-order
-Runge-Kutta scheme (DOP853) with the drift of the full invariant family as
-the accuracy certificate.
+The flow is integrated by an adaptive high-order Runge-Kutta scheme (DOP853)
+with the drift of the full invariant family as the accuracy certificate.  It
+is also solvable in closed form: in the time tau with d tau = dt/D it is the
+flat isotropic oscillator dq/d tau = p, dp/d tau = -Omega^2 q at the
+frequency Omega = sqrt(omega^2 - 2 lambda H) of model.effective_frequency.
+So every bounded orbit closes, with the period closed_form_period(), and
+exact_state() gives the trajectory that measures the integrator's global
+error, which the invariant drift cannot see.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize_scalar
 
-from .model import continuum_threshold
+from .model import continuum_threshold, effective_frequency
 
 
 class IntegrationError(RuntimeError):
@@ -53,10 +58,22 @@ class PhaseState:
 
 @dataclass
 class TrajectoryRecord:
-    """Sampled trajectory plus per-invariant relative drift."""
+    """Sampled trajectory plus per-invariant relative drift.
 
-    samples: list = field(default_factory=list)
-    drift: dict = field(default_factory=dict)
+    ``t`` has shape (T,) and ``y`` shape (2N, T), one (q, p) column per
+    sample time; ``global_error`` is max_t |z(t) - z_exact(t)|, nan for
+    unbounded motion.
+    """
+
+    t: np.ndarray
+    y: np.ndarray
+    drift: dict
+    global_error: float
+
+    @property
+    def samples(self):
+        """The samples as PhaseStates, built on each access."""
+        return [PhaseState.from_vector(col, t=float(t)) for col, t in zip(self.y.T, self.t)]
 
     @property
     def max_drift(self):
@@ -139,11 +156,75 @@ def classical_invariants(params, state):
     return {name: vals[k] for name, k in _row_index(state.dim).items()}
 
 
+def closed_form_period(params, energy):
+    """Period of every bounded orbit at energy H:
+
+        T(H) = 2 pi (omega^2 - lambda H) / (omega^2 - 2 lambda H)^(3/2),
+
+    which is 2 pi / omega at lambda = 0.  Raises ValueError at or above the
+    continuum threshold, where the motion is unbounded.
+    """
+    if energy >= continuum_threshold(params):
+        raise ValueError("no period at or above the continuum threshold")
+    om = effective_frequency(params, energy)
+    return 2.0 * math.pi * (om * om + params.lam * energy) / om**3
+
+
+def exact_state(params, initial, t):
+    """Closed-form solution of the flow at time t (a float or an ndarray).
+
+    In tau (d tau = dt/D, tau = 0 at t = initial.t) the motion is
+    q = q0 cos(Omega tau) + (p0/Omega) sin(Omega tau) with p = dq/d tau, and
+
+        t - t0 = tau + lambda [ |q0|^2 c s + (q0.p0) s^2 + H (tau - c s)/Omega^2 ],
+
+    c = cos(Omega tau), s = sin(Omega tau)/Omega.  It is increasing in tau
+    (dt/d tau = D >= 1), so every element is solved by bracketed Newton
+    iteration, with bisection safeguarding, until |t(tau) - t| <=
+    1e-13*(1 + |t - t0|).  A float t gives a PhaseState, an ndarray of shape
+    (T,) gives an ndarray of shape (2N, T).  Raises ValueError for unbounded
+    motion (H at or above the continuum threshold).
+    """
+    energy = classical_hamiltonian(params, initial)
+    if energy >= continuum_threshold(params):
+        raise ValueError("no closed form at or above the continuum threshold")
+    om = effective_frequency(params, energy)
+    q0, p0 = initial.q, initial.p
+    qq0, qp0, pp0 = q0 @ q0, q0 @ p0, p0 @ p0
+    lam = params.lam
+    elapsed = np.asarray(t, dtype=float) - initial.t
+    # t(tau) - tau has the sign of tau, so tau lies between 0 and t - t0
+    lo, hi = np.minimum(elapsed, 0.0), np.maximum(elapsed, 0.0)
+    tau = elapsed / (1.0 + lam * energy / om**2)  # the secular part of t(tau)
+    target = 1e-13 * (1.0 + np.abs(elapsed))
+    active = np.ones(elapsed.shape, dtype=bool)
+    for _ in range(100):
+        c, s = np.cos(om * tau), np.sin(om * tau) / om
+        f = tau + lam * (qq0 * c * s + qp0 * s * s + energy * (tau - c * s) / om**2) - elapsed
+        active &= ~(np.abs(f) <= target)
+        if not active.any():
+            break
+        hi = np.where(f > 0, tau, hi)
+        lo = np.where(f > 0, lo, tau)
+        step = tau - f / (1.0 + lam * (qq0 * c * c + 2.0 * qp0 * c * s + pp0 * s * s))
+        step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+        tau = np.where(active, step, tau)
+    else:
+        raise RuntimeError("exact_state: time inversion did not converge")
+    q = np.multiply.outer(q0, c) + np.multiply.outer(p0, s)
+    p = np.multiply.outer(p0, c) - om * om * np.multiply.outer(q0, s)
+    if elapsed.ndim == 0:
+        return PhaseState(q=q, p=p, t=float(t))
+    return np.concatenate([q, p])
+
+
 def integrate(params, initial, t_end, tolerance=1e-10, n_samples=501):
     """Integrate the flow and record the drift of every invariant.
 
     Returns a TrajectoryRecord whose drift entries are
-    max_t |I(t) - I(0)| / max(1, |I(0)|) over the sample times.
+    max_t |I(t) - I(0)| / max(1, |I(0)|) over the sample times, and whose
+    global_error compares the samples with exact_state() (nan above the
+    continuum threshold).
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -160,61 +241,54 @@ def integrate(params, initial, t_end, tolerance=1e-10, n_samples=501):
     ref = invariant_values(params, initial.q, initial.p)
     vals = invariant_values(params, sol.y[:n], sol.y[n:])
     worst = (np.max(np.abs(vals - ref[:, None]), axis=1) / np.maximum(1.0, np.abs(ref))).tolist()
+    global_error = math.nan
+    if classical_hamiltonian(params, initial) < continuum_threshold(params):
+        exact = exact_state(params, initial, sol.t)
+        global_error = float(np.max(np.linalg.norm(sol.y - exact, axis=0)))
     return TrajectoryRecord(
-        samples=[PhaseState.from_vector(col, t=float(t)) for col, t in zip(sol.y.T, sol.t)],
+        t=sol.t,
+        y=sol.y,
         drift={name: worst[k] for name, k in _row_index(n).items()},
+        global_error=global_error,
     )
 
 
-def orbit_closure(params, initial, search_horizon=None, tolerance=1e-12,
-                  closure_threshold=1e-4):
-    """Look for the first return of the trajectory to its initial point.
+def orbit_closure(params, initial, tolerance=1e-12, closure_threshold=1e-4):
+    """Distance of the trajectory from its initial point after one period.
 
-    Scans the phase-space distance to the initial state on a fine grid, takes
-    the first local minimum after the trajectory has moved away, and refines
-    it by bounded scalar minimization.  Returns a dict with the refined period
-    estimate, the closure distance, and a 'conclusive' flag; an orbit that
-    never comes back below ``closure_threshold`` within the horizon is
-    reported as inconclusive rather than failed.
+    One DOP853 solve with dense output over [0, 1.01 T], T the
+    closed_form_period() of the initial energy.  Returns a dict with
+    ``period`` = T, ``closure_distance`` = |z(T) - z0|, ``period_measured``,
+    the time in [0.99 T, 1.01 T] where |z(t) - z0| is least, and
+    ``conclusive``, true when the distance is at most closure_threshold *
+    max(1, |z0|).  Unbounded motion (H at or above the continuum threshold)
+    has no period: it is reported as inconclusive without integrating.
     """
-    period_scale = 2.0 * math.pi / params.omega
-    if search_horizon is None:
-        search_horizon = 20.0 * period_scale
+    energy = classical_hamiltonian(params, initial)
+    if energy >= continuum_threshold(params):
+        return {"period": math.nan, "period_measured": math.nan,
+                "closure_distance": math.inf, "conclusive": False}
+    period = closed_form_period(params, energy)
     z0 = initial.as_vector()
     sol = solve_ivp(
-        _rhs(params), (0.0, search_horizon), z0,
+        _rhs(params), (0.0, 1.01 * period), z0,
         method="DOP853", rtol=tolerance, atol=tolerance, dense_output=True,
     )
     if not sol.success:
         raise IntegrationError(f"integrator aborted: {sol.message}")
-    dt = period_scale / 2000.0
-    ts = np.arange(dt, search_horizon, dt)
-    dists = np.linalg.norm(sol.sol(ts) - z0[:, None], axis=0)
-    scale = max(1.0, float(np.linalg.norm(z0)))
-    escape = dists > 0.5 * dists.max()
-    moved = np.flatnonzero(escape)
-    best = None
-    if moved.size:
-        k0 = moved[0]
-        for k in range(k0 + 1, len(ts) - 1):
-            if dists[k] <= dists[k - 1] and dists[k] <= dists[k + 1]:
-                res = minimize_scalar(
-                    lambda t: float(np.linalg.norm(sol.sol(t) - z0)),
-                    bounds=(ts[k - 1], ts[k + 1]), method="bounded",
-                    options={"xatol": 1e-13},
-                )
-                if res.fun <= closure_threshold * scale:
-                    best = (float(res.x), float(res.fun))
-                    break
-                if best is None or res.fun < best[1]:
-                    best = (float(res.x), float(res.fun))
-    if best is None:
-        return {"period": math.nan, "closure_distance": math.inf, "conclusive": False}
-    period, dist = best
+    dist = float(np.linalg.norm(sol.sol(period) - z0))
+    # the bounded minimizer stops at about 1.5e-8 times its argument; in the
+    # offset u = t - T that resolves the return time to about 1e-12
+    res = minimize_scalar(
+        lambda u: float(np.linalg.norm(sol.sol(period + u) - z0)),
+        bounds=(-0.01 * period, 0.01 * period), method="bounded",
+        options={"xatol": 1e-13},
+    )
     return {
         "period": period,
+        "period_measured": period + float(res.x),
         "closure_distance": dist,
-        "conclusive": dist <= closure_threshold * scale,
+        "conclusive": dist <= closure_threshold * max(1.0, float(np.linalg.norm(z0))),
     }
 
 

@@ -239,6 +239,7 @@ def cmd_classical(args):
         "integrator_tolerance": args.tolerance,
         "drift": record.drift,
         "max_drift": record.max_drift,
+        "max_global_error": record.global_error,
         "poisson_brackets_with_H": brackets,
         "max_poisson_bracket": max(abs(v) for v in brackets.values()),
         "independence_rank": rank,

@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-SCHEMA = "darboux-report/1"
+SCHEMA = "darboux-report/2"
 
 
 def _sanitize(obj):
@@ -92,10 +92,7 @@ SPECTRUM_CSV_HEADER = ("n_r", "n", "E_numeric", "E_closed", "abs_residual", "rel
 
 def trajectory_csv(record, path=None):
     """Trajectory CSV: t, q1..qN, p1..pN."""
-    dim = record.samples[0].dim if record.samples else 0
+    dim = record.y.shape[0] // 2
     header = ["t"] + [f"q{i+1}" for i in range(dim)] + [f"p{i+1}" for i in range(dim)]
-    rows = [
-        [s.t, *s.q.tolist(), *s.p.tolist()]
-        for s in record.samples
-    ]
+    rows = np.column_stack([record.t, record.y.T]).tolist()
     return dump_csv(rows, header, path)

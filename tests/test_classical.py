@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from darboux3.model import ModelParams, continuum_threshold
+from darboux3.model import ModelParams, closed_form_energy, continuum_threshold
 from darboux3 import classical as cl
+from darboux3 import reports as rp
 
 
 PARAMS = ModelParams(dim=3, lam=0.02)
@@ -140,6 +141,7 @@ def test_orbit_closure_flat_period():
     res = cl.orbit_closure(flat, st, tolerance=1e-12)
     assert res["conclusive"]
     assert res["period"] == pytest.approx(2.0 * math.pi, abs=1e-8)
+    assert res["period_measured"] == pytest.approx(2.0 * math.pi, abs=1e-8)
     assert res["closure_distance"] < 1e-6
 
 
@@ -151,7 +153,7 @@ def test_orbit_closure_deformed_and_inconclusive():
     assert res["closure_distance"] < 1e-4
     # unbounded data: no recurrence expected
     far = cl.PhaseState(q=np.array([0.1, 0.0, 0.0]), p=np.array([8.0, 0.5, 0.0]))
-    res2 = cl.orbit_closure(PARAMS, far, search_horizon=30.0, tolerance=1e-9)
+    res2 = cl.orbit_closure(PARAMS, far, tolerance=1e-9)
     assert not res2["conclusive"]
 
 
@@ -161,6 +163,7 @@ def test_nonunit_omega_period_and_drift():
     st = cl.PhaseState(q=np.array([0.5, 0.0, 0.2]), p=np.array([0.0, 0.8, 0.1]))
     res = cl.orbit_closure(flat, st, tolerance=1e-12)
     assert res["period"] == pytest.approx(math.pi, abs=1e-8)
+    assert res["period_measured"] == pytest.approx(math.pi, abs=1e-8)
     deformed = ModelParams(dim=3, lam=0.05, omega=2.0)
     rng = np.random.default_rng(1)
     st2 = cl.random_state(deformed, rng, 3)
@@ -330,3 +333,110 @@ def test_involution_matrix_accepts_c_lower_n():
     assert np.max(np.abs(mat)) < 1e-6
     inv = cl.classical_invariants(PARAMS, st)
     assert inv["C_(3)"] == inv["C^(3)"]
+
+
+# (lambda, omega) pairs of the closed-form checks, deformed so that Omega != omega
+DEFORMED = ((0.02, 1.0), (0.1, 1.3), (0.05, 2.0))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("lam, omega, hbar", [(0.02, 1.0, 1.0), (0.1, 1.3, 1.0), (0.05, 2.0, 0.7)])
+def test_bohr_correspondence(dim, lam, omega, hbar):
+    # dE_n/d nu = 2 pi hbar / T(E_n) with nu = n + N/2: the classical period
+    # sets the spacing of the quantum levels; dE/d nu by a five-point stencil,
+    # from n = 1 so that the stencil stays at n >= 0
+    params = ModelParams(dim=dim, lam=lam, omega=omega, hbar=hbar)
+    h = 1e-3
+    for n in range(1, 9):
+        e = [closed_form_energy(params, n + k * h) for k in (-2, -1, 1, 2)]
+        slope = (e[0] - 8.0 * e[1] + 8.0 * e[2] - e[3]) / (12.0 * h)
+        period = cl.closed_form_period(params, closed_form_energy(params, n))
+        assert slope == pytest.approx(2.0 * math.pi * hbar / period, rel=1e-9)
+
+
+def test_closed_form_period_limits():
+    for omega in (1.0, 2.0, 0.7):
+        flat = ModelParams(dim=3, lam=0.0, omega=omega)
+        assert cl.closed_form_period(flat, 3.0) == pytest.approx(2.0 * math.pi / omega, rel=1e-15)
+    # deformed: longer than the flat period, growing towards the threshold
+    periods = [cl.closed_form_period(PARAMS, e) for e in (0.0, 5.0, 20.0, 24.9)]
+    assert periods[0] == pytest.approx(2.0 * math.pi, rel=1e-15)
+    # H = 20: Omega^2 = 1 - 2*0.02*20 = 0.2, omega^2 - lambda*H = 0.6
+    assert periods[2] == pytest.approx(2.0 * math.pi * 0.6 / 0.2**1.5, rel=1e-14)
+    assert all(b > a for a, b in zip(periods, periods[1:]))
+    for energy in (continuum_threshold(PARAMS), 30.0):
+        with pytest.raises(ValueError):
+            cl.closed_form_period(PARAMS, energy)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_closed_form_period_matches_measured_return(dim):
+    rng = np.random.default_rng(40 + dim)
+    for lam, omega in DEFORMED:
+        params = ModelParams(dim=dim, lam=lam, omega=omega)
+        for _ in range(2):
+            st = cl.random_state(params, rng, dim)
+            res = cl.orbit_closure(params, st)
+            period = cl.closed_form_period(params, cl.classical_hamiltonian(params, st))
+            assert res["period"] == period
+            assert abs(res["period_measured"] - period) <= 1e-7 * period
+            assert res["conclusive"] and res["closure_distance"] <= 1e-9
+
+
+def test_orbit_closure_unbounded_skips_integration(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("unbounded motion must not be integrated")
+
+    monkeypatch.setattr(cl, "solve_ivp", no_solve)
+    far = cl.PhaseState(q=np.array([0.1, 0.0, 0.0]), p=np.array([8.0, 0.5, 0.0]))
+    res = cl.orbit_closure(PARAMS, far)
+    assert math.isnan(res["period"]) and math.isnan(res["period_measured"])
+    assert res["closure_distance"] == math.inf and res["conclusive"] is False
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_exact_state_matches_dop853(dim):
+    rng = np.random.default_rng(60 + dim)
+    for lam, omega in DEFORMED:
+        params = ModelParams(dim=dim, lam=lam, omega=omega)
+        st = cl.random_state(params, rng, dim)
+        rec = cl.integrate(params, st, 100.0, tolerance=1e-10)
+        exact = cl.exact_state(params, st, rec.t)
+        assert exact.shape == rec.y.shape
+        err = float(np.max(np.linalg.norm(rec.y - exact, axis=0)))
+        assert err <= 1e-7
+        assert rec.global_error == err
+        # a float time gives the PhaseState on the same trajectory
+        last = cl.exact_state(params, st, float(rec.t[-1]))
+        assert last.t == rec.t[-1]
+        assert np.allclose(last.as_vector(), exact[:, -1], rtol=0.0, atol=1e-14)
+
+
+def test_exact_state_time_origin_and_unbounded():
+    rng = np.random.default_rng(8)
+    st = cl.random_state(PARAMS, rng, 3)
+    shifted = cl.PhaseState(q=st.q, p=st.p, t=5.0)
+    # the initial time is tau = 0; going back in time inverts t(tau) too
+    assert np.array_equal(cl.exact_state(PARAMS, shifted, 5.0).as_vector(), st.as_vector())
+    back = cl.exact_state(PARAMS, shifted, 5.0 - 3.0)
+    fwd = cl.exact_state(PARAMS, back, 5.0)
+    assert np.allclose(fwd.as_vector(), st.as_vector(), rtol=0.0, atol=1e-12)
+    far = cl.PhaseState(q=np.array([0.1, 0.0, 0.0]), p=np.array([8.0, 0.5, 0.0]))
+    with pytest.raises(ValueError):
+        cl.exact_state(PARAMS, far, 1.0)
+    assert math.isnan(cl.integrate(PARAMS, far, 5.0, tolerance=1e-9).global_error)
+
+
+def test_trajectory_samples_and_csv_read_the_arrays():
+    rng = np.random.default_rng(9)
+    st = cl.random_state(PARAMS, rng, 3)
+    rec = cl.integrate(PARAMS, st, 10.0, n_samples=21)
+    assert rec.t.shape == (21,) and rec.y.shape == (6, 21)
+    samples = rec.samples
+    assert [s.t for s in samples] == rec.t.tolist()
+    assert all(np.array_equal(s.as_vector(), col) for s, col in zip(samples, rec.y.T))
+    lines = rp.trajectory_csv(rec).splitlines()
+    assert lines[0] == "t,q1,q2,q3,p1,p2,p3"
+    assert len(lines) == 22
+    row = [samples[4].t, *samples[4].q.tolist(), *samples[4].p.tolist()]
+    assert lines[5] == ",".join(repr(x) for x in row)

@@ -19,7 +19,7 @@ def test_verify_exit_codes(capsys):
     code, out = run_cli(capsys, "verify", "--dim", "2", "--flavor", "schrodinger", "--no-timestamp")
     assert code == 0
     rep = json.loads(out)
-    assert rep["schema"] == "darboux-report/1"
+    assert rep["schema"] == "darboux-report/2"
     assert rep["kind"] == "verify"
     assert rep["all_zero"] is True
     assert all(c["commutator_zero"] for c in rep["checks"])
@@ -168,6 +168,7 @@ def test_classical_flat_period(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["closure"]["period"] == pytest.approx(2 * math.pi, abs=1e-5)
+    assert rep["closure"]["period_measured"] == pytest.approx(2 * math.pi, abs=1e-5)
     assert rep["independence_rank"] == 3
     assert rep["threshold"] == "inf"
 
