@@ -111,7 +111,9 @@ def build_parser():
     s.add_argument("--omega", type=_POSITIVE, default=1.0)
     s.add_argument("--hbar", type=_POSITIVE, default=1.0)
     s.add_argument("--levels", type=_POSITIVE_INT, default=6)
-    s.add_argument("--grid", type=_GRID, default=4000, help="number of interior grid points")
+    s.add_argument("--grid", type=_GRID, default=None,
+                   help="finer grid M of the Richardson pair (M//2, M); default "
+                        f"{sp.DEFAULT_GRID} cells, or {sp.ISOSPECTRAL_GRID} with --flavor all")
     s.add_argument("--qmax", type=_POSITIVE, default=None, help="override automatic box size")
     s.add_argument("--flavor", choices=("schrodinger", "tlb", "tpdm", "all"), default="tlb")
     s.add_argument("--wavefunctions", default=None, metavar="PATH",
@@ -163,8 +165,9 @@ def cmd_verify(args):
 def cmd_spectrum(args):
     params = ModelParams(dim=args.dim, lam=args.lam, omega=args.omega, hbar=args.hbar)
     k = args.levels
+    grid_m = {} if args.grid is None else {"m": args.grid}  # else each route's default
     if args.flavor == "all":
-        iso = sp.isospectrality_check(params, args.l, k=k, m=args.grid)
+        iso = sp.isospectrality_check(params, args.l, k=k, **grid_m)
         closed = np.array([closed_form_energy(params, 2 * nr + args.l) for nr in range(k)])
         per_flavor = {fl: vals.tolist() for fl, vals in iso["levels"].items()}
         worst_closed = max(
@@ -193,19 +196,18 @@ def cmd_spectrum(args):
         return 0 if ok else 1
 
     grid = (
-        sp.GridSpec(q_max=args.qmax, m=args.grid)
+        sp.GridSpec(q_max=args.qmax, **grid_m)
         if args.qmax
-        else sp.default_grid(params, args.l, k=k, m=args.grid)
+        else sp.default_grid(params, args.l, k=k, **grid_m)
     )
     problem = sp.RadialProblem(params, args.l, args.flavor, grid)
-    rep = sp.solve_bound_states(problem, k=k)
     if args.wavefunctions:
-        r_nodes, phis, _ = sp.radial_wavefunctions(problem, k=k)
+        r_nodes, phis, rep = sp.radial_wavefunctions(problem, k=k)
         cols = phis[args.flavor]
-        rows = [(r_nodes[i], *(cols[j][i] for j in range(cols.shape[0])))
-                for i in range(r_nodes.size)]
         header = ("r", *(f"phi_{args.flavor}_{j}" for j in range(cols.shape[0])))
-        rp.dump_csv(rows, header, args.wavefunctions)
+        rp.dump_csv(np.column_stack([r_nodes, cols.T]).tolist(), header, args.wavefunctions)
+    else:
+        rep = sp.solve_bound_states(problem, k=k)
     body = rep.to_json()
     body["max_rel_mismatch"] = rep.max_rel_residual
     report = rp.make_report("spectrum", body, timestamp=not args.no_timestamp)

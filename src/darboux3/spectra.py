@@ -3,8 +3,11 @@
 Two independent numerical routes to the same spectrum:
 
 * solve_bound_states discretizes the common one-dimensional form
-  -hbar^2/2 u'' + U_eff,l(Q) u = E u on a uniform grid in the flattening
-  coordinate Q (symmetric tridiagonal, Dirichlet ends);
+  -hbar^2/2 u'' + U_eff,l(Q) u = E u in the flattening coordinate Q, with
+  the Frobenius power factored out (u = Q^s w, s = l + (N-1)/2) so that the
+  equation for w is a flux form with p(0) = 0 (cell-centred, symmetric
+  tridiagonal, Dirichlet at the outer end); its levels are
+  Richardson-extrapolated over the grid pair (M//2, M);
 
 * flavor_radial_solve discretizes each flavor's own radial equation in r
   (Sturm-Liouville flux form, symmetrized by that flavor's natural measure),
@@ -37,13 +40,18 @@ RADIAL_FLAVORS = ("schrodinger", "tlb", "tpdm")
 # discretization artifacts of the finite grid and are not trusted
 THRESHOLD_MARGIN = 0.05
 
+# finer grid M of the Richardson pair (M//2, M): the Q-form solver's default,
+# and that of the flavor solvers behind isospectrality_check
+DEFAULT_GRID = 1000
+ISOSPECTRAL_GRID = 8000
+
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid: M interior points on (0, q_max) with Dirichlet ends."""
+    """Uniform grid: M cells on (0, q_max), Dirichlet at the outer end."""
 
     q_max: float
-    m: int = 4000
+    m: int = DEFAULT_GRID
 
     def __post_init__(self):
         if self.q_max <= 0:
@@ -153,12 +161,13 @@ def gaussian_tail_radius(params, n, tail=1e-12):
     return r
 
 
-def default_grid(params, l, k=6, m=4000, tail=1e-12):
+def default_grid(params, l, k=6, m=DEFAULT_GRID, tail=1e-12):
     """Automatic grid for the lowest ``k`` radial levels at angular number l.
 
     q_max is the flattening image of the radius where the highest target
     level (n = 2(k-1)+l) has decayed below ``tail``; keeping the box this
-    tight is what lets the fixed default M resolve the levels to ~1e-6.
+    tight is what lets the default M, with extrapolation, resolve the levels
+    to better than 1e-6.
     """
     n_top = 2 * (k - 1) + l
     r_tail = gaussian_tail_radius(params, n_top, tail=tail)
@@ -166,29 +175,63 @@ def default_grid(params, l, k=6, m=4000, tail=1e-12):
     return GridSpec(q_max=q_max, m=m)
 
 
-def effective_1d_problem(problem):
-    """Symmetric tridiagonal discretization of -hbar^2/2 d^2/dQ^2 + U_eff,l(Q).
+def effective_1d_problem(problem, m=None):
+    """Symmetric tridiagonal flux form of the reduced problem in Q.
 
-    Returns (diag, offdiag, q_nodes, r_nodes).  Dirichlet conditions at both
-    ends; the reduced wave function behaves like r^(l+(N-1)/2) at the origin,
-    which vanishes for every (N, l) except N = 2, l = 0.  There both Frobenius
-    solutions vanish at r = 0, so the condition does not select the regular
-    one; the case is still solved, and the report warns.
+    With s = l + (N-1)/2 the reduced wave function behaves like Q^s at the
+    origin; writing u = Q^s w gives
+
+        -hbar^2/(2 Q^(2s)) (Q^(2s) w')' + [U_eff,l - hbar^2 s(s-1)/(2 Q^2)] w = E w,
+
+    whose bracket is bounded at Q = 0 (the subtracted term cancels the 1/Q^2
+    pole of U_eff, since Q = r + O(r^3)).  Cells of width h = q_max/m have
+    centres (i-1/2)h, where w and the bracket are sampled, and faces i*h,
+    where p = Q^(2s) is; the face at Q = 0 carries p(0) = 0 and the outer end
+    is Dirichlet.  The cell mass W_i is the cell mean of Q^(2s), so the
+    ratios p/W depend on i and s only: they cannot overflow, and they grow
+    polynomially in s (the centre value (i-1/2)^(2s) h^(2s) would make the
+    first row grow like 4^s and swamp the levels at large l in bisection's
+    tolerance).  Symmetrized by W^(1/2), the eigenvectors are u at the
+    centres to second order.  ``m`` overrides the grid's M (the coarse grid
+    of the Richardson pair).  Returns (diag, offdiag, q_centres, r_centres).
     """
     params, grid = problem.params, problem.grid
     if grid is None:
         raise ValueError("problem has no grid; use default_grid()")
-    dq = grid.q_max / (grid.m + 1)
-    q = dq * np.arange(1, grid.m + 1)
+    m = grid.m if m is None else m
+    h = grid.q_max / m
+    q = h * (np.arange(1, m + 1) - 0.5)
     r = inverse_flattening(params, q)
-    u = quantum_effective_potential(params, problem.l, r)
-    hb = params.hbar
-    diag = hb * hb / dq**2 + u
-    off = np.full(grid.m - 1, -hb * hb / (2.0 * dq**2))
+    s = problem.l + (params.dim - 1) / 2.0
+    hb2 = params.hbar**2
+    v = quantum_effective_potential(params, problem.l, r) - hb2 * s * (s - 1.0) / (2.0 * q * q)
+    # cell i spans [(i-1)h, ih], so W_i = (ih)^(2s) g_i with
+    # g_i = i (1 - x^(2s+1)) / (2s+1) and x = (i-1)/i; p/W is 1/g_i at the
+    # upper face and x^(2s)/g_i at the lower face, 0 at i = 1 (p(0) = 0)
+    i = np.arange(1, m + 1, dtype=float)
+    x = (i - 1.0) / i
+    g = i * (1.0 - x ** (2.0 * s + 1.0)) / (2.0 * s + 1.0)
+    upper, lower = 1.0 / g, x ** (2.0 * s) / g
+    c = hb2 / (2.0 * h * h)
+    diag = c * (lower + upper) + v
+    off = -c * np.sqrt(upper[:-1] * lower[1:])
     return diag, off, q, r
 
 
-def _grid_warnings(problem, dq):
+def _grid_levels(problem, m, k):
+    """Lowest min(k, m) eigenvalues of the flux form on m cells."""
+    diag, off, _q, _r = effective_1d_problem(problem, m=m)
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, min(k, m) - 1),
+                            eigvals_only=True)
+
+
+def _richardson(coarse, fine, ratio):
+    """Second-order Richardson extrapolation; ``ratio`` is h_coarse / h_fine."""
+    rho = ratio * ratio
+    return (rho * fine - coarse) / (rho - 1.0)
+
+
+def _grid_warnings(problem, h):
     """Heuristic coarseness warning: 20 points per de Broglie wavelength at
     the continuum threshold."""
     params = problem.params
@@ -197,28 +240,20 @@ def _grid_warnings(problem, dq):
         e_top = closed_form_energy(params, 2 * 12 + problem.l)
     k_wave = math.sqrt(2.0 * e_top) / params.hbar
     wavelength = 2.0 * math.pi / k_wave
-    out = []
-    if dq > wavelength / 20.0:
-        out.append(
-            f"grid too coarse: dQ={dq:.3g} exceeds 1/20 de Broglie wavelength {wavelength/20:.3g}"
-        )
-    if params.dim == 2 and problem.l == 0:
-        out.append(
-            "N=2, l=0: the short-range term of U_eff is the critical -hbar^2/(4 r^2); "
-            "both Frobenius solutions, r^(1/2) and r^(1/2) log r, vanish at r = 0, so the "
-            "Dirichlet end of the Q grid does not select the regular one and the levels "
-            "miss the closed form; use --flavor all (flux form with p(0) = 0)"
-        )
-    return out
+    if h > wavelength / 20.0:
+        return [f"grid too coarse: dQ={h:.3g} exceeds 1/20 de Broglie wavelength {wavelength/20:.3g}"]
+    return []
 
 
 def solve_bound_states(problem, k=6, eigenvectors=False):
     """Lowest-k bound levels of the reduced problem, paired with closed form.
 
-    Levels above (1 - margin) times the continuum threshold are spurious box
-    states on a finite grid and are dropped; the report is truncated when
-    fewer than k trusted levels resolve (the true discrete family is
-    infinite, accumulating at the threshold).
+    The levels are Richardson-extrapolated over the grid pair (M//2, M).  The
+    fine grid M supplies ``count_below_threshold`` and the eigenvectors (u at
+    the cell centres).  Extrapolated levels above (1 - margin) times the
+    continuum threshold are spurious box states on a finite grid and are
+    dropped; the report is truncated when fewer than k trusted levels resolve
+    (the true discrete family is infinite, accumulating at the threshold).
     """
     if k < 1:
         raise ValueError("at least one level must be requested")
@@ -227,18 +262,22 @@ def solve_bound_states(problem, k=6, eigenvectors=False):
             params=problem.params, l=problem.l, flavor=problem.flavor,
             grid=default_grid(problem.params, problem.l, k=k),
         )
+    grid = problem.grid
     diag, off, q, r = effective_1d_problem(problem)
     take = min(len(diag), k + 4)
     result = eigh_tridiagonal(diag, off, select="i", select_range=(0, take - 1),
                               eigvals_only=not eigenvectors)
     vals, vecs = result if eigenvectors else (result, None)
+    coarse_m = grid.m // 2
+    coarse = _grid_levels(problem, coarse_m, k)
+    extrapolated = _richardson(coarse, vals[: coarse.size], grid.m / coarse_m)
     threshold = continuum_threshold(problem.params)
-    trusted = vals[vals < (1.0 - THRESHOLD_MARGIN) * threshold] if math.isfinite(threshold) else vals
+    trusted = extrapolated[extrapolated < (1.0 - THRESHOLD_MARGIN) * threshold]
     report = SpectrumReport(
         problem=problem,
         threshold=threshold,
-        count_below_threshold=int(np.sum(vals < threshold)) if math.isfinite(threshold) else len(vals),
-        warnings=_grid_warnings(problem, q[0]),
+        count_below_threshold=int(np.sum(vals < threshold)),
+        warnings=_grid_warnings(problem, grid.q_max / grid.m),
     )
     for n_r, e in enumerate(trusted[:k]):
         n = 2 * n_r + problem.l
@@ -257,22 +296,20 @@ def solve_bound_states(problem, k=6, eigenvectors=False):
 
 
 def convergence_order(problem, k=6, grids=(1000, 2000, 4000)):
-    """Measured eigenvalue convergence order from a grid-doubling sequence.
+    """Measured eigenvalue convergence order of single grids (no
+    extrapolation) from a grid-doubling sequence.
 
-    Fits |E(h) - E(h/2)| ratios; a second-order scheme gives ~2.
+    Fits |E(h) - E(h/2)| ratios over the lowest k levels that sit below the
+    threshold margin; a second-order scheme gives ~2, which is what the
+    Richardson extrapolation in solve_bound_states relies on.
     """
-    reports = []
-    for m in grids:
-        g = GridSpec(q_max=problem.grid.q_max, m=m)
-        p = RadialProblem(problem.params, problem.l, problem.flavor, g)
-        reports.append(solve_bound_states(p, k=k))
-    orders = []
-    for lev in range(min(len(r.levels) for r in reports)):
-        e = [r.levels[lev].e_numeric for r in reports]
-        d1, d2 = abs(e[1] - e[0]), abs(e[2] - e[1])
-        if d2 > 0:
-            orders.append(math.log2(d1 / d2))
-    return min(orders) if orders else math.nan
+    take = min(k, *grids)
+    e = np.array([_grid_levels(problem, m, take) for m in grids])
+    d1, d2 = np.abs(e[1] - e[0]), np.abs(e[2] - e[1])
+    threshold = continuum_threshold(problem.params)
+    keep = (d2 > 0) & (e[2] < (1.0 - THRESHOLD_MARGIN) * threshold)
+    orders = np.log2(d1[keep] / d2[keep])
+    return float(np.min(orders)) if orders.size else math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +375,16 @@ def flavor_radial_solve(params, l, flavor, k=6, m=4000, r_max=None):
     return vals
 
 
-def richardson_levels(params, l, flavor, k=6, m=4000, r_max=None):
-    """Grid-converged levels: Richardson extrapolation over (m, 2m)."""
+def richardson_levels(params, l, flavor, k=6, m=ISOSPECTRAL_GRID, r_max=None):
+    """Grid-converged levels: Richardson extrapolation over (m//2, m)."""
     if r_max is None:
         r_max = 1.25 * gaussian_tail_radius(params, 2 * (k - 1) + l)
-    e1 = flavor_radial_solve(params, l, flavor, k=k, m=m, r_max=r_max)
-    e2 = flavor_radial_solve(params, l, flavor, k=k, m=2 * m, r_max=r_max)
-    return (4.0 * e2 - e1) / 3.0
+    coarse = flavor_radial_solve(params, l, flavor, k=k, m=m // 2, r_max=r_max)
+    fine = flavor_radial_solve(params, l, flavor, k=k, m=m, r_max=r_max)
+    return _richardson(coarse, fine, m / (m // 2))
 
 
-def isospectrality_check(params, l, k=6, m=4000, tol=1e-8):
+def isospectrality_check(params, l, k=6, m=ISOSPECTRAL_GRID, tol=1e-8):
     """Pairwise spectral agreement of the three independently discretized
     radial flavors on the lowest k levels.
 
@@ -635,7 +672,8 @@ def radial_wavefunctions(problem, k=6):
 
     The reduced eigenvector u(Q) converts to the flavor functions through
     Phi_tlb = r^((1-N)/2) D^(-(N-1)/4) u,  Phi = D^((N-2)/4) Phi_tlb,
-    Phi_tpdm = D^(N/4) Phi_tlb.  Returns (r_nodes, {flavor: array (k, M)}).
+    Phi_tpdm = D^(N/4) Phi_tlb, on the fine grid's cell centres.  Returns
+    (r_nodes, {flavor: array (k, M)}, report).
     """
     report = solve_bound_states(problem, k=k, eigenvectors=True)
     r = report.r_nodes

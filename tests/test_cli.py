@@ -105,32 +105,60 @@ def test_spectrum_flat_ladder_csv(capsys, tmp_path):
 
 def test_spectrum_wavefunction_export(capsys, tmp_path):
     wf = tmp_path / "wf.csv"
-    code, out = run_cli(
-        capsys, "spectrum", "--dim", "3", "--l", "0", "--lambda", "0.02",
-        "--levels", "3", "--wavefunctions", str(wf), "--no-timestamp",
-    )
+    argv = ("spectrum", "--dim", "3", "--l", "0", "--lambda", "0.02", "--levels", "3",
+            "--no-timestamp")
+    code, out = run_cli(capsys, *argv, "--wavefunctions", str(wf))
     assert code == 0
+    # the export reads the same solve: the report is unchanged by it
+    assert run_cli(capsys, *argv) == (0, out)
+    rep = json.loads(out)
     lines = wf.read_text().splitlines()
     assert lines[0] == "r,phi_tlb_0,phi_tlb_1,phi_tlb_2"
-    assert len(lines) == 4001
-    rep = json.loads(out)
+    assert len(lines) == rep["grid"]["M"] + 1
     assert rep["levels"][0]["dim_Y_l"] == 1
     assert rep["levels"][1]["level_degeneracy"] == 6  # n = 2, N = 3
 
 
 def test_spectrum_n2_l0_needs_flux_form(capsys):
-    # both Frobenius solutions vanish at r = 0, so the Q-grid Dirichlet end
-    # misses the closed form; the flux-form solvers (p(0) = 0) meet it
+    # both Frobenius solutions vanish at r = 0; factoring out u = Q^s w gives
+    # a flux form whose p(0) = 0 selects the regular one, on both routes
     code, out = run_cli(capsys, "spectrum", "--dim", "2", "--l", "0", "--no-timestamp")
-    assert code == 1
+    assert code == 0
     rep = json.loads(out)
-    assert any("N=2, l=0" in w and "--flavor all" in w for w in rep["warnings"])
-    assert rep["max_rel_mismatch"] > 1e-5
+    assert rep["warnings"] == []
+    assert rep["max_rel_mismatch"] <= 1e-5
     code, out = run_cli(
         capsys, "spectrum", "--dim", "2", "--l", "0", "--flavor", "all", "--no-timestamp"
     )
     assert code == 0
     assert json.loads(out)["max_rel_mismatch"] < 1e-9
+
+
+def test_spectrum_odd_grid(capsys):
+    # --grid M is the finer grid of the pair (M//2, M); an odd M extrapolates
+    # with the exact spacing ratio (1001/500)^2
+    code, out = run_cli(capsys, "spectrum", "--grid", "1001", "--no-timestamp")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["grid"]["M"] == 1001
+    assert rep["max_rel_mismatch"] <= 1e-5
+
+
+def test_spectrum_all_flavors_default_grid(capsys):
+    # the --flavor all default is the finer grid 8000: Richardson over
+    # (4000, 8000), (4 E_8000 - E_4000)/3 to the last bit
+    from darboux3 import spectra as sp
+    from darboux3.model import ModelParams
+
+    argv = ("spectrum", "--flavor", "all", "--levels", "3", "--no-timestamp")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv, "--grid", "8000") == (0, out)
+    params = ModelParams(dim=3, lam=0.02)
+    r_max = 1.25 * sp.gaussian_tail_radius(params, 4)
+    coarse, fine = (sp.flavor_radial_solve(params, 0, "tlb", k=3, m=m, r_max=r_max)
+                    for m in (4000, 8000))
+    assert json.loads(out)["levels"]["tlb"] == ((4.0 * fine - coarse) / 3.0).tolist()
 
 
 def test_spectrum_all_flavors(capsys):

@@ -27,18 +27,31 @@ def test_radial_problem_validation():
 
 
 def test_effective_problem_is_symmetric_and_located():
-    prob = sp.RadialProblem(P002, l=10, grid=sp.GridSpec(q_max=12.0, m=800))
-    diag, off, q, r = sp.effective_1d_problem(prob)
-    assert diag.shape == (800,) and off.shape == (799,)
-    assert np.all(np.isfinite(diag))
-    # single off-diagonal band: symmetric by construction
-    assert np.allclose(off, off[0])
-    # potential minimum on the grid sits at the quantum-effective minimum
-    from darboux3.model import quantum_effective_minimum
+    from darboux3.model import quantum_effective_minimum, quantum_effective_potential
 
-    u = diag - (P002.hbar**2 / (q[1] - q[0]) ** 2)
-    m = quantum_effective_minimum(P002, 10)
-    assert r[np.argmin(u)] == pytest.approx(m.r_min, abs=0.05)
+    l, m = 10, 800
+    prob = sp.RadialProblem(P002, l=l, grid=sp.GridSpec(q_max=12.0, m=m))
+    diag, off, q, r = sp.effective_1d_problem(prob)
+    assert diag.shape == (m,) and off.shape == (m - 1,) and q.shape == r.shape == (m,)
+    assert np.all(np.isfinite(diag)) and np.all(np.isfinite(off)) and np.all(off < 0)
+    h = 12.0 / m
+    assert np.allclose(q, h * (np.arange(1, m + 1) - 0.5), rtol=1e-14, atol=0)
+    # u = Q^s w: a constant w carries no flux through any face but the outer
+    # wall, so W^(1/2) (W the cell mean of Q^(2s)) is a null vector of the
+    # matrix minus the bracket V = U_eff - hbar^2 s(s-1)/(2Q^2) on every row
+    # but the last; in the first row only the upward flux enters (p(0) = 0)
+    s = l + (P002.dim - 1) / 2.0
+    faces = h * np.arange(0, m + 1)
+    y = np.sqrt(np.diff(faces ** (2 * s + 1)) / ((2 * s + 1) * h))
+    bracket = np.empty(m - 1)
+    bracket[0] = diag[0] + off[0] * y[1] / y[0]
+    bracket[1:] = diag[1:-1] + (off[:-1] * y[:-2] + off[1:] * y[2:]) / y[1:-1]
+    expected = quantum_effective_potential(P002, l, r) - s * (s - 1) / (2.0 * q * q)
+    assert np.allclose(bracket, expected[:-1], rtol=1e-9, atol=1e-9)
+    # the potential recovered from the matrix has its minimum at the
+    # quantum-effective minimum
+    u_eff = bracket + s * (s - 1) / (2.0 * q[:-1] ** 2)
+    assert r[np.argmin(u_eff)] == pytest.approx(quantum_effective_minimum(P002, l).r_min, abs=0.05)
 
 
 def test_ground_state_figure5_value():
@@ -96,11 +109,36 @@ def test_grid_warning_heuristic():
     coarse = sp.RadialProblem(P002, l=0, grid=sp.GridSpec(q_max=40.0, m=150))
     rep = sp.solve_bound_states(coarse, k=2)
     assert any("grid too coarse" in w for w in rep.warnings)
-    exceptional = sp.RadialProblem(
+    n2_l0 = sp.RadialProblem(
         ModelParams(dim=2, lam=0.02), l=0, grid=sp.GridSpec(q_max=12.0, m=2000)
     )
-    rep2 = sp.solve_bound_states(exceptional, k=2)
-    assert any("N=2, l=0" in w for w in rep2.warnings)
+    rep2 = sp.solve_bound_states(n2_l0, k=2)
+    assert not any("N=2, l=0" in w for w in rep2.warnings)
+
+
+@pytest.mark.parametrize("dim", (2, 3, 4, 5))
+def test_default_spectrum_sweep(dim):
+    # default grid, Richardson over (500, 1000): every level within 2e-6 of
+    # the closed form, N = 2, l = 0 (s = 1/2) included
+    for l in (0, 1, 3):
+        for lam, omega in ((0.02, 1.0), (0.04, 0.8), (0.005, 1.2), (0.0, 1.0)):
+            params = ModelParams(dim=dim, lam=lam, omega=omega)
+            rep = sp.solve_bound_states(sp.RadialProblem(params, l), k=6)
+            assert len(rep.levels) == 6
+            assert rep.max_rel_residual <= 2e-6, (l, lam, omega, rep.max_rel_residual)
+
+
+@pytest.mark.parametrize("dim", (3, 2))
+def test_richardson_is_fourth_order(dim):
+    params = ModelParams(dim=dim, lam=0.02)
+    q_max = sp.default_grid(params, 0, k=6).q_max
+    closed = np.array([closed_form_energy(params, 2 * n_r) for n_r in range(6)])
+    errors = []
+    for m in (500, 1000):  # the pairs (250, 500) and (500, 1000)
+        rep = sp.solve_bound_states(sp.RadialProblem(params, 0, grid=sp.GridSpec(q_max, m)), k=6)
+        levels = np.array([lv.e_numeric for lv in rep.levels])
+        errors.append(np.max(np.abs(levels - closed) / closed))
+    assert errors[0] / errors[1] >= 12.0, errors
 
 
 def test_isospectrality_three_flavors():
