@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -78,7 +78,9 @@ def _parts(text):
     return parts
 
 
+@cache
 def build_parser():
+    """The argparse parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="darboux3",
         description="Curved-space oscillator verification suite",

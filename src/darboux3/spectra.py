@@ -40,10 +40,13 @@ RADIAL_FLAVORS = ("schrodinger", "tlb", "tpdm")
 # discretization artifacts of the finite grid and are not trusted
 THRESHOLD_MARGIN = 0.05
 
-# finer grid M of the Richardson pair (M//2, M): the Q-form solver's default,
-# and that of the flavor solvers behind isospectrality_check
+# finer grid M of the Richardson pair (M//2, M): DEFAULT_GRID for the Q-form
+# solver, ISOSPECTRAL_GRID for the flavor solvers behind isospectrality_check,
+# whose flavors must agree pairwise to 1e-8.  M = 3000 keeps that with a margin
+# of 17 or more over N = 2..6, l <= 10 (M = 1000 misses it at N = 2 and 6, l = 0);
+# a finer M gains nothing pairwise, as bisection's tolerance grows like 1/h^2
 DEFAULT_GRID = 1000
-ISOSPECTRAL_GRID = 8000
+ISOSPECTRAL_GRID = 3000
 
 
 @dataclass(frozen=True)
@@ -347,7 +350,7 @@ def _sl_potential(flavor, r, params, l):
     return v
 
 
-def flavor_radial_solve(params, l, flavor, k=6, m=4000, r_max=None):
+def flavor_radial_solve(params, l, flavor, k=6, m=ISOSPECTRAL_GRID, r_max=None):
     """Lowest-k levels of one flavor's own radial equation in r.
 
     Finite-volume flux discretization on cell centers (i-1/2)h with fluxes on

@@ -5,6 +5,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from darboux3.cli import main
 
@@ -145,20 +147,24 @@ def test_spectrum_odd_grid(capsys):
 
 
 def test_spectrum_all_flavors_default_grid(capsys):
-    # the --flavor all default is the finer grid 8000: Richardson over
-    # (4000, 8000), (4 E_8000 - E_4000)/3 to the last bit
+    # the --flavor all default is the finer grid M = ISOSPECTRAL_GRID:
+    # Richardson over (M//2, M) with rho = (M/(M//2))^2, that is
+    # (rho E_M - E_(M//2))/(rho - 1), to the last bit
     from darboux3 import spectra as sp
     from darboux3.model import ModelParams
 
+    fine_m = sp.ISOSPECTRAL_GRID
+    coarse_m = fine_m // 2
     argv = ("spectrum", "--flavor", "all", "--levels", "3", "--no-timestamp")
     code, out = run_cli(capsys, *argv)
     assert code == 0
-    assert run_cli(capsys, *argv, "--grid", "8000") == (0, out)
+    assert run_cli(capsys, *argv, "--grid", str(fine_m)) == (0, out)
     params = ModelParams(dim=3, lam=0.02)
     r_max = 1.25 * sp.gaussian_tail_radius(params, 4)
     coarse, fine = (sp.flavor_radial_solve(params, 0, "tlb", k=3, m=m, r_max=r_max)
-                    for m in (4000, 8000))
-    assert json.loads(out)["levels"]["tlb"] == ((4.0 * fine - coarse) / 3.0).tolist()
+                    for m in (coarse_m, fine_m))
+    rho = (fine_m / coarse_m) ** 2
+    assert json.loads(out)["levels"]["tlb"] == ((rho * fine - coarse) / (rho - 1.0)).tolist()
 
 
 def test_spectrum_all_flavors(capsys):
@@ -263,3 +269,108 @@ def test_unwritable_output_paths_exit_1(capsys, tmp_path):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
+def _exit_code(argv):
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_cached_parser_carries_no_state(capsys):
+    from darboux3.cli import build_parser
+
+    assert build_parser() is build_parser()
+    before = vars(build_parser().parse_args(["spectrum"]))
+    for argv, code in (
+        (["verify", "--dim", "2", "--parts", "sl2", "--corrupt", "I33"], 2),
+        (["verify", "--dim", "2", "--parts", "sl2"], 0),
+        (["spectrum", "--grid", "10"], 2),
+        (["spectrum", "--grid", "400", "--levels", "2", "--lambda", "0.01"], 0),
+        (["verify", "--dim", "2", "--parts", "sl2", "--corrupt", "I33"], 2),
+        (["verify", "--dim", "2", "--parts", "sl2", "--flavor", "tpdm"], 0),
+    ):
+        assert _exit_code(argv) == code, argv
+        capsys.readouterr()
+    assert vars(build_parser().parse_args(["spectrum"])) == before
+
+
+def _cli_calls(out_dir):
+    """Strategy: one to three argv lists over the four commands.  Flags take
+    valid values, and about half the commands end in one invalid flag (the
+    last occurrence of a flag wins).  Kept cheap: small grids, few levels,
+    verify at N = 2 on the sl2 part, short classical runs."""
+
+    def flag(name, values):
+        return st.one_of(st.just(()), st.sampled_from(values).map(lambda v: (name, v)))
+
+    def switch(name):
+        return st.sampled_from([(), (name,)])
+
+    common = (
+        flag("--format", ("json", "csv")),
+        flag("--out", (str(out_dir / "report"), str(out_dir / "missing" / "report"))),
+        flag("--seed", ("0", "7", "-3")),
+        switch("--no-timestamp"),
+    )
+    common_bad = [("--format", "xml"), ("--seed", "x"), ("--bogus",)]
+
+    def command(name, flags, bad):
+        bad = st.one_of(st.just(()), st.sampled_from(bad + common_bad))
+        return st.tuples(*flags, *common, bad).map(
+            lambda parts: [name, *(a for p in parts for a in p)])
+
+    verify = command("verify", (
+        st.just(("--dim", "2", "--parts", "sl2")),
+        flag("--flavor", ("schrodinger", "tlb", "tpdm")),
+        flag("--corrupt", ("I11", "I12", "I22")),
+        switch("--similarity"),
+    ), [("--dim", "7"), ("--dim", "two"), ("--parts", "foo"), ("--parts", ","),
+        ("--flavor", "lb"), ("--corrupt", "I33"), ("--corrupt", "XYZ")])
+    spectrum = command("spectrum", (
+        st.integers(100, 400).map(lambda m: ("--grid", str(m))),
+        flag("--levels", ("1", "2", "3")),
+        flag("--dim", ("2", "3", "4")),
+        flag("--l", ("0", "1", "3")),
+        flag("--lambda", ("0", "0.02", "0.06")),
+        flag("--omega", ("1", "0.7")),
+        flag("--hbar", ("1", "0.5", "2")),
+        flag("--qmax", ("4", "12")),
+        flag("--flavor", ("schrodinger", "tlb", "tpdm", "all")),
+        flag("--wavefunctions", (str(out_dir / "wf.csv"), str(out_dir / "missing" / "wf.csv"))),
+    ), [("--grid", "10"), ("--grid", "1e3"), ("--levels", "0"), ("--dim", "1"), ("--l", "-1"),
+        ("--lambda", "-1"), ("--lambda", "nan"), ("--omega", "0"), ("--omega", "inf"),
+        ("--hbar", "0"), ("--qmax", "-3"), ("--flavor", "lb")])
+    classical = command("classical", (
+        st.floats(0.5, 5.0).map(lambda t: ("--t-end", repr(t))),
+        flag("--dim", ("2", "3", "4")),
+        flag("--lambda", ("0", "0.02", "0.05")),
+        flag("--omega", ("1", "1.3")),
+        flag("--tolerance", ("1e-8", "1e-10")),
+        flag("--trajectory", (str(out_dir / "traj.csv"), str(out_dir / "missing" / "traj.csv"))),
+    ), [("--t-end", "0"), ("--t-end", "-1"), ("--t-end", "inf"), ("--dim", "1"),
+        ("--lambda", "-0.1"), ("--omega", "0"), ("--tolerance", "0")])
+    figures = command("figures", (
+        st.sampled_from("12345").map(lambda w: ("--which", w)),
+        st.sampled_from((out_dir / "figures", out_dir / "report" / "sub")).map(
+            lambda d: ("--dir", str(d))),
+    ), [("--which", "0"), ("--which", "x")])
+    stray = st.sampled_from(([], ["nonsense"], ["--help"], ["verify", "-h"]))
+    return st.lists(st.one_of(verify, spectrum, classical, figures, stray), min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_contract_fuzz(capsys, tmp_path, data):
+    # exit 0, 1 or 2 on every input, never a traceback; many calls share one
+    # process and so one cached parser
+    for argv in data.draw(_cli_calls(tmp_path)):
+        code = _exit_code(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err, argv
+        if code == 2:
+            assert "usage:" in err, argv

@@ -69,17 +69,19 @@ def test_flat_ladder():
 
 
 def test_levels_match_closed_form_with_extrapolation_oracle():
-    # N=3, l=1, lambda=0.02: extrapolated levels vs closed form to 1e-6
-    grid = sp.default_grid(P002, 1, k=6)
-    e = []
-    for m in (4000, 8000):
-        prob = sp.RadialProblem(P002, 1, grid=sp.GridSpec(q_max=grid.q_max, m=m))
-        rep = sp.solve_bound_states(prob, k=6)
-        e.append(np.array([lv.e_numeric for lv in rep.levels]))
-    extrapolated = (4.0 * e[1] - e[0]) / 3.0
-    for n_r, val in enumerate(extrapolated):
+    # N=3, l=1, lambda=0.02: the single-grid levels on (4000, 8000),
+    # extrapolated once here, vs closed form to 1e-6; the default solve
+    # (its own extrapolation over (M//2, M)) agrees with this oracle to 1e-5
+    prob = sp.RadialProblem(P002, 1, grid=sp.default_grid(P002, 1, k=6))
+    coarse, fine = (sp._grid_levels(prob, m, 6) for m in (4000, 8000))
+    oracle = (4.0 * fine - coarse) / 3.0
+    for n_r, val in enumerate(oracle):
         closed = closed_form_energy(P002, 2 * n_r + 1)
         assert val == pytest.approx(closed, rel=1e-6)
+    rep = sp.solve_bound_states(prob, k=6)
+    assert len(rep.levels) == 6
+    for lv, val in zip(rep.levels, oracle):
+        assert lv.e_numeric == pytest.approx(val, rel=1e-5)
 
 
 def test_direct_solve_tolerance_and_order():
@@ -157,6 +159,28 @@ def test_isospectrality_flat_reduces_to_ladder():
     ladder = np.array([2 * n_r + 1 + 1.5 for n_r in range(5)])
     for vals in out["levels"].values():
         assert np.allclose(vals, ladder, rtol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "dim,l,lam,omega,hbar,k",
+    [
+        (6, 0, 0.054034, 1.277319, 2.0, 6),  # pairwise 1.2e-8 at M = 1000
+        (3, 9, 0.002105, 0.526841, 0.5, 8),  # closed form 2.3e-7 at M = 1000
+        (2, 0, 0.06, 0.5, 2.0, 8),  # pairwise 4.7e-8 at M = 1000
+    ],
+)
+def test_isospectral_default_grid_margin(dim, l, lam, omega, hbar, k):
+    # the worst cases of a sweep over N = 2..6, l <= 10, lambda <= 0.06,
+    # omega in [0.5, 2], hbar in {0.5, 1, 2}, k in {6, 8}: the default grid
+    # keeps the pairwise and closed-form bounds of spectrum --flavor all
+    from darboux3.cli import SPECTRUM_TOLERANCE
+
+    params = ModelParams(dim=dim, lam=lam, omega=omega, hbar=hbar)
+    out = sp.isospectrality_check(params, l, k=k)
+    assert out["agree"] and out["max_pairwise_rel"] <= 1e-8
+    closed = np.array([closed_form_energy(params, 2 * n_r + l) for n_r in range(k)])
+    for vals in out["levels"].values():
+        assert np.max(np.abs(vals - closed) / closed) <= SPECTRUM_TOLERANCE
 
 
 def test_n2_schrodinger_tlb_identical_operators():
