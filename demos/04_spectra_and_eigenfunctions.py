@@ -21,7 +21,8 @@ print(f"grid: q_max = {report.problem.grid.q_max:.2f}, M = {report.problem.grid.
 print(" n_r   n   E_numeric        E_closed         rel")
 for lv in report.levels:
     print(f"  {lv.n_r}    {lv.n:2d}  {lv.e_numeric:.10f}   {lv.e_closed:.10f}   {lv.rel_residual:.1e}")
-print(f"threshold = {report.threshold}, {report.count_below_threshold} levels below\n")
+print(f"threshold = {report.threshold}, {len(report.levels)} trusted levels below "
+      f"{1 - sp.THRESHOLD_MARGIN} x threshold\n")
 
 print("=" * 70)
 print("2. Isospectrality of three independent discretizations (l=1)")

@@ -22,6 +22,12 @@ from scipy.optimize import minimize_scalar
 
 from .model import continuum_threshold, effective_frequency
 
+FD_STEP = 1e-6
+RANK_TOL = 1e-8
+RANK_ATTEMPTS = 5
+AXIS_MARGIN = 1e-3
+CLOSURE_THRESHOLD = 1e-4
+
 
 class IntegrationError(RuntimeError):
     """Adaptive integration failed (step-size underflow or solver abort)."""
@@ -253,14 +259,14 @@ def integrate(params, initial, t_end, tolerance=1e-10, n_samples=501):
     )
 
 
-def orbit_closure(params, initial, tolerance=1e-12, closure_threshold=1e-4):
+def orbit_closure(params, initial, tolerance=1e-12):
     """Distance of the trajectory from its initial point after one period.
 
     One DOP853 solve with dense output over [0, 1.01 T], T the
     closed_form_period() of the initial energy.  Returns a dict with
     ``period`` = T, ``closure_distance`` = |z(T) - z0|, ``period_measured``,
     the time in [0.99 T, 1.01 T] where |z(t) - z0| is least, and
-    ``conclusive``, true when the distance is at most closure_threshold *
+    ``conclusive``, true when the distance is at most CLOSURE_THRESHOLD *
     max(1, |z0|).  Unbounded motion (H at or above the continuum threshold)
     has no period: it is reported as inconclusive without integrating.
     """
@@ -288,19 +294,19 @@ def orbit_closure(params, initial, tolerance=1e-12, closure_threshold=1e-4):
         "period": period,
         "period_measured": period + float(res.x),
         "closure_distance": dist,
-        "conclusive": dist <= closure_threshold * max(1.0, float(np.linalg.norm(z0))),
+        "conclusive": dist <= CLOSURE_THRESHOLD * max(1.0, float(np.linalg.norm(z0))),
     }
 
 
-def _gradients(params, names, state, h=1e-6):
+def _gradients(params, names, state):
     """Central-difference gradients of the named invariants in z = (q, p).
 
-    Coordinate z_k moves by +-h*max(1, |z_k|); the 4N moved points go through
+    Coordinate z_k moves by +-FD_STEP*max(1, |z_k|); the 4N moved points go through
     one invariant_values() call.  One row per name, columns (dq, dp).
     """
     n = state.dim
     z = state.as_vector()
-    steps = h * np.maximum(1.0, np.abs(z))
+    steps = FD_STEP * np.maximum(1.0, np.abs(z))
     moved = np.concatenate([z[:, None] + np.diag(steps), z[:, None] - np.diag(steps)], axis=1)
     vals = invariant_values(params, moved[:n], moved[n:])
     index = _row_index(n)
@@ -308,62 +314,62 @@ def _gradients(params, names, state, h=1e-6):
     return (vals[rows, : 2 * n] - vals[rows, 2 * n :]) / (2 * steps)
 
 
-def involution_matrix(params, names, state, h=1e-6):
+def involution_matrix(params, names, state):
     """Pairwise Poisson brackets among named invariants (antisymmetric part)."""
     n = state.dim
-    grad = _gradients(params, names, state, h=h)
+    grad = _gradients(params, names, state)
     upper = np.triu(grad[:, :n] @ grad[:, n:].T - grad[:, n:] @ grad[:, :n].T, 1)
     return upper - upper.T
 
 
-def poisson_bracket_with_h(params, name, state, h=1e-6):
+def poisson_bracket_with_h(params, name, state):
     """Finite-difference Poisson bracket {H, I_name} at a state."""
-    return float(involution_matrix(params, ["H", name], state, h=h)[0, 1])
+    return float(involution_matrix(params, ["H", name], state)[0, 1])
 
 
-def independence_names(dim, fixed_i=1):
-    """The 2N-1 member family {H, C^(m), C_(m), I_ii} with one fixed i.
+def independence_names(dim):
+    """The 2N-1 member family {H, C^(m), C_(m), I_11}.
 
     C_(N) coincides with C^(N) and is listed once.
     """
     names = ["H"]
     names += [f"C^({m})" for m in range(2, dim + 1)]
     names += [f"C_({m})" for m in range(2, dim)]
-    names.append(f"I_{fixed_i}{fixed_i}")
+    names.append("I_11")
     return names
 
 
-def independence_rank(params, state, fixed_i=1, names=None, sv_tol=1e-8):
+def independence_rank(params, state, names=None):
     """Numerical rank of the invariant Jacobian at a phase-space point.
 
-    Singular values above sv_tol times the largest count toward the rank; a
-    generic state of the full family gives 2N-1.
+    Singular values above RANK_TOL times the largest count toward the rank;
+    a generic state of the full family gives 2N-1.
     """
     if names is None:
-        names = independence_names(state.dim, fixed_i)
+        names = independence_names(state.dim)
     jac = _gradients(params, names, state)
     sv = np.linalg.svd(jac, compute_uv=False)
     if sv[0] == 0:
         return 0
-    return int(np.sum(sv > sv_tol * sv[0]))
+    return int(np.sum(sv > RANK_TOL * sv[0]))
 
 
-def independence_rank_robust(params, rng, dim, fixed_i=1, attempts=5):
-    """Rank over up to ``attempts`` random generic states; raises if every
+def independence_rank_robust(params, rng, dim):
+    """Rank over up to RANK_ATTEMPTS random generic states; raises if every
     sampled state is rank-deficient."""
     expected = 2 * dim - 1
     rank = 0
-    for _ in range(attempts):
+    for _ in range(RANK_ATTEMPTS):
         state = random_state(params, rng, dim)
-        rank = independence_rank(params, state, fixed_i)
+        rank = independence_rank(params, state)
         if rank == expected:
             return rank
     raise RuntimeError(
-        f"rank deficit across {attempts} random states (last rank {rank}, expected {expected})"
+        f"rank deficit across {RANK_ATTEMPTS} random states (last rank {rank}, expected {expected})"
     )
 
 
-def random_state(params, rng, dim, bounded=True, axis_margin=1e-3):
+def random_state(params, rng, dim, bounded=True):
     """Random phase-space point from the unit ball, rejecting near-axis
     configurations so hyperspherical charts stay well conditioned."""
     threshold = continuum_threshold(params)
@@ -377,7 +383,7 @@ def random_state(params, rng, dim, bounded=True, axis_margin=1e-3):
             _, angles, _, _ = hyperspherical_transform(state)
         except ValueError:
             continue
-        if any(abs(math.sin(t)) < axis_margin for t in angles[:-1]):
+        if any(abs(math.sin(t)) < AXIS_MARGIN for t in angles[:-1]):
             continue
         if bounded and classical_hamiltonian(params, state) >= 0.9 * threshold:
             continue

@@ -155,6 +155,8 @@ def cmd_verify(args):
         fradkin = corrupt_fradkin(fradkin, args.corrupt)
     rep = verify_theorem(args.flavor, args.dim, parts=args.parts, fradkin=fradkin)
     body = rep.to_json()
+    if args.corrupt is not None:
+        body["corrupt"] = args.corrupt
     if args.similarity:
         sim = similarity_checks(args.dim)
         body["similarity_checks"] = [c.to_json() for c in sim]
@@ -332,6 +334,10 @@ def main(argv=None):
             fradkin_label_indices(args.corrupt, args.dim)
         except ValueError as exc:
             args.parser.error(f"argument --corrupt: {exc}")
+        # only these parts read every Fradkin entry; without them the
+        # mutation control would pass silently
+        if not {"i", "conjugation"} & set(args.parts):
+            args.parser.error("argument --corrupt: needs --parts to include i or conjugation")
     handlers = {
         "verify": cmd_verify,
         "spectrum": cmd_spectrum,

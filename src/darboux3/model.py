@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+INVERSE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -94,13 +96,13 @@ def flattening_coordinate(params, r):
     return float(q) if np.ndim(q) == 0 else q
 
 
-def inverse_flattening(params, q, tol=1e-12):
+def inverse_flattening(params, q):
     """Inverse of the flattening coordinate: the r >= 0 with Q(r) = q.
 
     q may be a scalar (a float is returned) or an ndarray.  Bracketed Newton
     iteration (dQ/dr = sqrt(D) >= 1) with bisection safeguarding runs on every
     element at once, each with its own bracket; an element stops updating
-    once |Q(r) - q| <= tol*(1 + |q|).
+    once |Q(r) - q| <= INVERSE_TOL*(1 + |q|).
     """
     q_arr = np.asarray(q, dtype=float)
     if np.any(q_arr < 0):
@@ -111,7 +113,7 @@ def inverse_flattening(params, q, tol=1e-12):
     # Q(r) >= r, so r = q is an upper bound and 2q + 1 brackets the root
     lo, hi = np.zeros_like(q_arr), 2.0 * q_arr + 1.0
     r = q_arr.copy()
-    target = tol * (1.0 + np.abs(q_arr))
+    target = INVERSE_TOL * (1.0 + np.abs(q_arr))
     active = np.ones(q_arr.shape, dtype=bool)
     for _ in range(100):
         f = flattening_coordinate(params, r) - q_arr
@@ -181,7 +183,7 @@ def quantum_effective_potential(params, l, r):
     return (cent + om * om * r * r) / (2.0 * d)
 
 
-def quantum_effective_minimum(params, l, bracket=None):
+def quantum_effective_minimum(params, l):
     """Numerical minimum of the quantum effective potential over r > 0.
 
     No closed form exists in the deformed case; at lambda = 0 it reduces to
@@ -200,11 +202,9 @@ def quantum_effective_minimum(params, l, bracket=None):
     if c == 0:
         raise ValueError("no interior minimum for N = 3, l = 0 (infimum at r = 0)")
     r_flat = math.sqrt(params.hbar * math.sqrt(c) / params.omega)
-    if bracket is None:
-        bracket = (r_flat / 4.0, r_flat, r_flat * 8.0)
     res = minimize_scalar(
         lambda r: quantum_effective_potential(params, l, r),
-        bracket=bracket,
+        bracket=(r_flat / 4.0, r_flat, r_flat * 8.0),
         options={"xtol": 1e-12},
     )
     return EffectiveMinimum(r_min=float(res.x), u_min=float(res.fun))

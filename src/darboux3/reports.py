@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-SCHEMA = "darboux-report/2"
+SCHEMA = "darboux-report/3"
 
 
 def _sanitize(obj):

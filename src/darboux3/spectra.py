@@ -1,13 +1,13 @@
 """Radial bound-state solvers and closed-form eigenfunctions.
 
-Two independent numerical routes to the same spectrum:
+Two independent numerical routes to the same spectrum; each solves both grids
+of the pair (M//2, M) for the k levels it reports and Richardson-extrapolates:
 
 * solve_bound_states discretizes the common one-dimensional form
   -hbar^2/2 u'' + U_eff,l(Q) u = E u in the flattening coordinate Q, with
   the Frobenius power factored out (u = Q^s w, s = l + (N-1)/2) so that the
   equation for w is a flux form with p(0) = 0 (cell-centred, symmetric
-  tridiagonal, Dirichlet at the outer end); its levels are
-  Richardson-extrapolated over the grid pair (M//2, M);
+  tridiagonal, Dirichlet at the outer end);
 
 * flavor_radial_solve discretizes each flavor's own radial equation in r
   (Sturm-Liouville flux form, symmetrized by that flavor's natural measure),
@@ -42,11 +42,18 @@ THRESHOLD_MARGIN = 0.05
 
 # finer grid M of the Richardson pair (M//2, M): DEFAULT_GRID for the Q-form
 # solver, ISOSPECTRAL_GRID for the flavor solvers behind isospectrality_check,
-# whose flavors must agree pairwise to 1e-8.  M = 3000 keeps that with a margin
-# of 17 or more over N = 2..6, l <= 10 (M = 1000 misses it at N = 2 and 6, l = 0);
-# a finer M gains nothing pairwise, as bisection's tolerance grows like 1/h^2
+# whose flavors must agree pairwise to ISOSPECTRAL_TOLERANCE.  M = 3000 keeps
+# that with a margin of 17 or more over N = 2..6, l <= 10 (M = 1000 misses it
+# at N = 2 and 6, l = 0); a finer M gains nothing pairwise, as bisection's
+# tolerance grows like 1/h^2
 DEFAULT_GRID = 1000
 ISOSPECTRAL_GRID = 3000
+ISOSPECTRAL_TOLERANCE = 1e-8
+
+TAIL = 1e-12
+CONVERGENCE_GRIDS = (1000, 2000, 4000)
+NODE_TOL = 1e-8
+RESOLVED_FRACTION = 0.75
 
 
 @dataclass(frozen=True)
@@ -114,7 +121,6 @@ class SpectrumReport:
     problem: RadialProblem
     levels: list = field(default_factory=list)
     threshold: float = math.inf
-    count_below_threshold: int = 0
     warnings: list = field(default_factory=list)
 
     @property
@@ -142,39 +148,37 @@ class SpectrumReport:
             "flavor": self.problem.flavor,
             "grid": {"q_max": self.problem.grid.q_max, "M": self.problem.grid.m},
             "threshold": self.threshold,
-            "count_below_threshold": self.count_below_threshold,
             "max_rel_residual": self.max_rel_residual,
             "levels": levels,
             "warnings": list(self.warnings),
         }
 
 
-def gaussian_tail_radius(params, n, tail=1e-12):
-    """Radius where the level-n Gaussian-Hermite tail drops below ``tail``.
+def gaussian_tail_radius(params, n):
+    """Radius where the level-n Gaussian-Hermite tail drops below TAIL.
 
-    Solves beta^2 r^2 / 2 - n*log(1 + beta*r) = -log(tail) by stepping
+    Solves beta^2 r^2 / 2 - n*log(1 + beta*r) = -log(TAIL) by stepping
     outward; beta is the closed-form decay rate of level n.
     """
     e_n = closed_form_energy(params, n)
     beta = math.sqrt(effective_frequency(params, e_n) / params.hbar)
-    goal = -math.log(tail)
+    goal = -math.log(TAIL)
     r = 1.0 / beta
     while beta * beta * r * r / 2.0 - n * math.log1p(beta * r) < goal:
         r *= 1.1
     return r
 
 
-def default_grid(params, l, k=6, m=DEFAULT_GRID, tail=1e-12):
+def default_grid(params, l, k=6, m=DEFAULT_GRID):
     """Automatic grid for the lowest ``k`` radial levels at angular number l.
 
     q_max is the flattening image of the radius where the highest target
-    level (n = 2(k-1)+l) has decayed below ``tail``; keeping the box this
+    level (n = 2(k-1)+l) has decayed below TAIL; keeping the box this
     tight is what lets the default M, with extrapolation, resolve the levels
     to better than 1e-6.
     """
     n_top = 2 * (k - 1) + l
-    r_tail = gaussian_tail_radius(params, n_top, tail=tail)
-    q_max = flattening_coordinate(params, r_tail)
+    q_max = flattening_coordinate(params, gaussian_tail_radius(params, n_top))
     return GridSpec(q_max=q_max, m=m)
 
 
@@ -221,11 +225,14 @@ def effective_1d_problem(problem, m=None):
     return diag, off, q, r
 
 
-def _grid_levels(problem, m, k):
-    """Lowest min(k, m) eigenvalues of the flux form on m cells."""
-    diag, off, _q, _r = effective_1d_problem(problem, m=m)
-    return eigh_tridiagonal(diag, off, select="i", select_range=(0, min(k, m) - 1),
-                            eigvals_only=True)
+def _grid_solve(problem, m, k, eigenvectors=False):
+    """Lowest min(k, m) levels of the flux form on m cells: (values, vectors,
+    q_centres, r_centres), vectors (u at the centres) None unless asked for."""
+    diag, off, q, r = effective_1d_problem(problem, m=m)
+    result = eigh_tridiagonal(diag, off, select="i", select_range=(0, min(k, m) - 1),
+                              eigvals_only=not eigenvectors)
+    vals, vecs = result if eigenvectors else (result, None)
+    return vals, vecs, q, r
 
 
 def _richardson(coarse, fine, ratio):
@@ -251,12 +258,13 @@ def _grid_warnings(problem, h):
 def solve_bound_states(problem, k=6, eigenvectors=False):
     """Lowest-k bound levels of the reduced problem, paired with closed form.
 
-    The levels are Richardson-extrapolated over the grid pair (M//2, M).  The
-    fine grid M supplies ``count_below_threshold`` and the eigenvectors (u at
-    the cell centres).  Extrapolated levels above (1 - margin) times the
-    continuum threshold are spurious box states on a finite grid and are
-    dropped; the report is truncated when fewer than k trusted levels resolve
-    (the true discrete family is infinite, accumulating at the threshold).
+    Each grid of the pair (M//2, M) is solved for the lowest k levels, which
+    are Richardson-extrapolated; the fine grid M also supplies the
+    eigenvectors (u at the cell centres) when asked for.  Extrapolated levels
+    above (1 - margin) times the continuum threshold are spurious box states
+    on a finite grid and are dropped; the report is truncated when fewer than
+    k trusted levels resolve (the true discrete family is infinite,
+    accumulating at the threshold; threshold_accumulation counts it).
     """
     if k < 1:
         raise ValueError("at least one level must be requested")
@@ -266,20 +274,15 @@ def solve_bound_states(problem, k=6, eigenvectors=False):
             grid=default_grid(problem.params, problem.l, k=k),
         )
     grid = problem.grid
-    diag, off, q, r = effective_1d_problem(problem)
-    take = min(len(diag), k + 4)
-    result = eigh_tridiagonal(diag, off, select="i", select_range=(0, take - 1),
-                              eigvals_only=not eigenvectors)
-    vals, vecs = result if eigenvectors else (result, None)
     coarse_m = grid.m // 2
-    coarse = _grid_levels(problem, coarse_m, k)
-    extrapolated = _richardson(coarse, vals[: coarse.size], grid.m / coarse_m)
+    coarse = _grid_solve(problem, coarse_m, k)[0]
+    fine, vecs, q, r = _grid_solve(problem, grid.m, k, eigenvectors)
+    extrapolated = _richardson(coarse, fine[: coarse.size], grid.m / coarse_m)
     threshold = continuum_threshold(problem.params)
     trusted = extrapolated[extrapolated < (1.0 - THRESHOLD_MARGIN) * threshold]
     report = SpectrumReport(
         problem=problem,
         threshold=threshold,
-        count_below_threshold=int(np.sum(vals < threshold)),
         warnings=_grid_warnings(problem, grid.q_max / grid.m),
     )
     for n_r, e in enumerate(trusted[:k]):
@@ -298,16 +301,16 @@ def solve_bound_states(problem, k=6, eigenvectors=False):
     return report
 
 
-def convergence_order(problem, k=6, grids=(1000, 2000, 4000)):
+def convergence_order(problem, k=6):
     """Measured eigenvalue convergence order of single grids (no
-    extrapolation) from a grid-doubling sequence.
+    extrapolation) from the grid-doubling sequence CONVERGENCE_GRIDS.
 
     Fits |E(h) - E(h/2)| ratios over the lowest k levels that sit below the
     threshold margin; a second-order scheme gives ~2, which is what the
     Richardson extrapolation in solve_bound_states relies on.
     """
-    take = min(k, *grids)
-    e = np.array([_grid_levels(problem, m, take) for m in grids])
+    take = min(k, *CONVERGENCE_GRIDS)
+    e = np.array([_grid_solve(problem, m, take)[0] for m in CONVERGENCE_GRIDS])
     d1, d2 = np.abs(e[1] - e[0]), np.abs(e[2] - e[1])
     threshold = continuum_threshold(problem.params)
     keep = (d2 > 0) & (e[2] < (1.0 - THRESHOLD_MARGIN) * threshold)
@@ -350,55 +353,41 @@ def _sl_potential(flavor, r, params, l):
     return v
 
 
-def flavor_radial_solve(params, l, flavor, k=6, m=ISOSPECTRAL_GRID, r_max=None):
-    """Lowest-k levels of one flavor's own radial equation in r.
+def flavor_radial_solve(params, l, flavor, r_max, k=6, m=ISOSPECTRAL_GRID):
+    """Lowest-k levels of one flavor's own radial equation in r on (0, r_max).
 
     Finite-volume flux discretization on cell centers (i-1/2)h with fluxes on
-    faces i*h; the face at r = 0 carries p(0) = 0, which encodes the
-    regularity condition without referencing a ghost point, and the matrix is
-    symmetrized by the flavor's own measure.
+    faces i*h, i = 0..m.  The face at r = 0 carries p(0) = 0 (p has the factor
+    r^(N-1)), which encodes the regularity condition without referencing a
+    ghost point; the outer face is Dirichlet and still contributes its flux
+    to the last cell.  The matrix is symmetrized by the flavor's own measure.
     """
-    if r_max is None:
-        r_max = 1.25 * gaussian_tail_radius(params, 2 * (k - 1) + l)
     h = r_max / m
-    faces = h * np.arange(1, m)  # interior faces between cells
+    p_face, _ = _sl_weights(flavor, h * np.arange(m + 1), params)
     centers = h * (np.arange(1, m + 1) - 0.5)
-    p_face, _ = _sl_weights(flavor, faces, params)
     _, w_cent = _sl_weights(flavor, centers, params)
     v = _sl_potential(flavor, centers, params, l)
-    hb2 = params.hbar**2
-    c = hb2 / (2.0 * h * h)
-    p_padded = np.concatenate([[0.0], p_face, [0.0]])  # p(0)=0; Dirichlet at r_max
-    # Dirichlet at the outer face still contributes its flux to the last cell
-    p_outer, _ = _sl_weights(flavor, np.array([m * h]), params)
-    p_padded[-1] = p_outer[0]
-    diag = c * (p_padded[:-1] + p_padded[1:]) / w_cent + v
-    off = -c * p_face / np.sqrt(w_cent[:-1] * w_cent[1:])
-    vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True)
-    return vals
+    c = params.hbar**2 / (2.0 * h * h)
+    diag = c * (p_face[:-1] + p_face[1:]) / w_cent + v
+    off = -c * p_face[1:-1] / np.sqrt(w_cent[:-1] * w_cent[1:])
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True)
 
 
-def richardson_levels(params, l, flavor, k=6, m=ISOSPECTRAL_GRID, r_max=None):
-    """Grid-converged levels: Richardson extrapolation over (m//2, m)."""
-    if r_max is None:
-        r_max = 1.25 * gaussian_tail_radius(params, 2 * (k - 1) + l)
-    coarse = flavor_radial_solve(params, l, flavor, k=k, m=m // 2, r_max=r_max)
-    fine = flavor_radial_solve(params, l, flavor, k=k, m=m, r_max=r_max)
-    return _richardson(coarse, fine, m / (m // 2))
-
-
-def isospectrality_check(params, l, k=6, m=ISOSPECTRAL_GRID, tol=1e-8):
+def isospectrality_check(params, l, k=6, m=ISOSPECTRAL_GRID):
     """Pairwise spectral agreement of the three independently discretized
     radial flavors on the lowest k levels.
 
-    Returns a dict with per-flavor (grid-converged) level arrays, the worst
-    pairwise relative deviation, and a boolean verdict at tolerance ``tol``.
-    For N = 2 the schrodinger and tlb radial operators are identical before
-    discretization; this is asserted separately in identical_radial_operators.
+    Each flavor is solved on the grid pair (m//2, m) over one common box and
+    Richardson-extrapolated.  Returns a dict with the per-flavor level
+    arrays, the worst pairwise relative deviation, and a boolean verdict at
+    ISOSPECTRAL_TOLERANCE.  For N = 2 the schrodinger and tlb radial operators
+    are identical before discretization; this is asserted separately in
+    identical_radial_operators.
     """
     r_max = 1.25 * gaussian_tail_radius(params, 2 * (k - 1) + l)
     levels = {
-        fl: richardson_levels(params, l, fl, k=k, m=m, r_max=r_max)
+        fl: _richardson(flavor_radial_solve(params, l, fl, r_max, k=k, m=m // 2),
+                        flavor_radial_solve(params, l, fl, r_max, k=k, m=m), m / (m // 2))
         for fl in RADIAL_FLAVORS
     }
     worst = 0.0
@@ -414,23 +403,22 @@ def isospectrality_check(params, l, k=6, m=ISOSPECTRAL_GRID, tol=1e-8):
         "levels": levels,
         "pairwise_rel": pairs,
         "max_pairwise_rel": worst,
-        "agree": worst <= tol,
+        "agree": worst <= ISOSPECTRAL_TOLERANCE,
     }
 
 
-def identical_radial_operators(params, l, flavors=("schrodinger", "tlb"), r_samples=None):
-    """True when two flavors have identical radial Sturm-Liouville data.
+def identical_radial_operators(params, l):
+    """True when the schrodinger and tlb flavors have identical radial
+    Sturm-Liouville data on 97 sample radii in [0.1, 10].
 
-    In two dimensions the Laplace-Beltrami corrections vanish, so the
-    schrodinger and tlb problems coincide operator-by-operator.
+    In two dimensions the Laplace-Beltrami corrections vanish, so the two
+    problems coincide operator-by-operator.
     """
-    if r_samples is None:
-        r_samples = np.linspace(0.1, 10.0, 97)
-    fa, fb = flavors
-    pa, wa = _sl_weights(fa, r_samples, params)
-    pb, wb = _sl_weights(fb, r_samples, params)
-    va = _sl_potential(fa, r_samples, params, l)
-    vb = _sl_potential(fb, r_samples, params, l)
+    r = np.linspace(0.1, 10.0, 97)
+    pa, wa = _sl_weights("schrodinger", r, params)
+    pb, wb = _sl_weights("tlb", r, params)
+    va = _sl_potential("schrodinger", r, params, l)
+    vb = _sl_potential("tlb", r, params, l)
     return (
         np.allclose(pa, pb, rtol=1e-15, atol=0)
         and np.allclose(wa, wb, rtol=1e-15, atol=0)
@@ -541,12 +529,12 @@ def _axis_factor_derivatives(n_i, beta, x):
     return phi, phi2
 
 
-def residual_check(ef, sample_points, node_tol=1e-8, energy_override=None):
+def residual_check(ef, sample_points, energy_override=None):
     """Max relative residual of (-hbar^2 Lap + Omega^2 q^2) Psi - 2 E_n Psi
     over sample points, with Psi the flat Gaussian-Hermite product.
 
     Derivatives are assembled analytically from the Hermite recurrence and
-    Gaussian factor rules; points sitting on nodes (|Psi| below node_tol
+    Gaussian factor rules; points sitting on nodes (|Psi| below NODE_TOL
     times the batch maximum) are excluded from the maximum.  energy_override
     replaces E_n in the residual only (mutation control).
     """
@@ -575,20 +563,20 @@ def residual_check(ef, sample_points, node_tol=1e-8, energy_override=None):
     lhs = -hb2 * lap + omega_eff**2 * qsq * psi
     rhs = 2.0 * e_n * psi
     scale = np.abs(lhs) + np.abs(rhs) + hb2 * np.abs(lap)
-    keep = np.abs(psi) > node_tol * np.max(np.abs(psi))
+    keep = np.abs(psi) > NODE_TOL * np.max(np.abs(psi))
     if not np.any(keep):
         raise ValueError("all sample points sit on nodes")
     rel = np.abs(lhs - rhs)[keep] / scale[keep]
     return float(np.max(rel))
 
 
-def sample_points_avoiding_nodes(ef, rng, count=100, box=None, node_tol=1e-8):
+def sample_points_avoiding_nodes(ef, rng, count=100, box=None):
     """Draw ``count`` points where the eigenfunction is not vanishingly small."""
     if box is None:
         box = 3.5 / ef.beta
     pts = rng.uniform(-box, box, size=(8 * count, ef.params.dim))
     vals = np.abs(eigenfunction_value(ef, pts))
-    keep = vals > node_tol * vals.max()
+    keep = vals > NODE_TOL * vals.max()
     if np.sum(keep) < count:
         raise RuntimeError("could not find enough off-node sample points")
     return pts[keep][:count]
@@ -609,7 +597,7 @@ def spherical_harmonic_dimension(dim, l):
     )
 
 
-def degeneracy_census(params, n, l_max=None):
+def degeneracy_census(params, n):
     """Cartesian vs radial degeneracy count of level n.
 
     Cartesian: compositions of n into N parts, C(n+N-1, N-1).  Radial: sum of
@@ -618,37 +606,30 @@ def degeneracy_census(params, n, l_max=None):
     """
     dim = params.dim
     cartesian = math.comb(n + dim - 1, dim - 1)
-    if l_max is None:
-        l_max = n
-    radial = sum(
-        spherical_harmonic_dimension(dim, l)
-        for l in range(n % 2, min(n, l_max) + 1, 2)
-    )
+    radial = sum(spherical_harmonic_dimension(dim, l) for l in range(n % 2, n + 1, 2))
     return {"n": n, "cartesian": cartesian, "radial": radial, "agree": cartesian == radial}
 
 
-def threshold_accumulation(params, l, doublings=3, base_grid=None, k_cap=400,
-                           resolved_fraction=0.75):
+def threshold_accumulation(params, l, doublings=3, k_cap=400):
     """Spectral counting on successively larger boxes (q_max doubling).
 
     For lambda > 0 the count of levels below the continuum threshold grows
     with the box and the top resolved levels approach omega^2/(2*lambda) from
     below.  Gap monotonicity (E_{n+1} - E_n decreasing) is evaluated on the
-    resolved range below ``resolved_fraction`` of the threshold: second
+    resolved range below RESOLVED_FRACTION of the threshold: second
     differences are far more sensitive to box distortion than the levels
     themselves, and nearer the threshold the finite box takes over.  At most
-    the lowest ``k_cap`` levels below the threshold are counted per grid.
-    Returns a list of per-grid summaries.
+    the lowest ``k_cap`` levels below the threshold are counted per grid,
+    the first on default_grid(params, l).  Returns a list of per-grid
+    summaries.
     """
     if params.lam <= 0:
         raise ValueError("threshold accumulation needs lambda > 0")
-    if base_grid is None:
-        base_grid = default_grid(params, l, k=6)
+    base = default_grid(params, l)
     threshold = continuum_threshold(params)
     out = []
-    q_max, m = base_grid.q_max, base_grid.m
     for stage in range(doublings):
-        grid = GridSpec(q_max=q_max * 2**stage, m=m * 2**stage)
+        grid = GridSpec(q_max=base.q_max * 2**stage, m=base.m * 2**stage)
         problem = RadialProblem(params, l, "tlb", grid)
         diag, off, _q, _r = effective_1d_problem(problem)
         # every level below the threshold, selected by value; the lowest
@@ -656,7 +637,7 @@ def threshold_accumulation(params, l, doublings=3, base_grid=None, k_cap=400,
         vals = eigh_tridiagonal(diag, off, select="v", select_range=(-math.inf, threshold),
                                 eigvals_only=True)
         below = vals[vals < threshold][: min(k_cap, grid.m - 1)]
-        resolved = below[below < resolved_fraction * threshold]
+        resolved = below[below < RESOLVED_FRACTION * threshold]
         out.append(
             {
                 "q_max": grid.q_max,

@@ -3,11 +3,13 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from darboux3 import reports as rp
 from darboux3.cli import main
 
 
@@ -21,9 +23,10 @@ def test_verify_exit_codes(capsys):
     code, out = run_cli(capsys, "verify", "--dim", "2", "--flavor", "schrodinger", "--no-timestamp")
     assert code == 0
     rep = json.loads(out)
-    assert rep["schema"] == "darboux-report/2"
+    assert rep["schema"] == rp.SCHEMA
     assert rep["kind"] == "verify"
     assert rep["all_zero"] is True
+    assert "corrupt" not in rep
     assert all(c["commutator_zero"] for c in rep["checks"])
 
 
@@ -36,6 +39,11 @@ def test_verify_corrupt_fails(capsys):
     assert not rep["all_zero"]
     bad = [c for c in rep["checks"] if not c["commutator_zero"]]
     assert bad and all("residual" in c for c in bad)
+    assert rep["corrupt"] == "I11"
+    code, out = run_cli(
+        capsys, "verify", "--dim", "2", "--parts", "i", "--corrupt", "I12", "--no-timestamp"
+    )
+    assert code == 1 and json.loads(out)["corrupt"] == "I12"
 
 
 BAD_FLAGS = (
@@ -54,6 +62,9 @@ BAD_FLAGS = (
     ["classical", "--t-end", "0"],
     ["verify", "--corrupt", "XYZ"],
     ["verify", "--dim", "2", "--corrupt", "I33"],
+    # only the parts i and conjugation read every Fradkin entry
+    ["verify", "--dim", "2", "--parts", "sl2", "--corrupt", "I12"],
+    ["verify", "--dim", "2", "--parts", "ii", "--corrupt", "I12"],
 )
 
 
@@ -67,6 +78,11 @@ def test_verify_bad_flags_exit_2(capsys):
         if "--corrupt" in argv:
             # the label is checked after parsing, but reported by verify's own parser
             assert err.startswith("usage: darboux3 verify"), argv
+
+
+def test_readme_names_the_report_schema():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert f'"schema": "{rp.SCHEMA}"' in readme
 
 
 def test_verify_similarity_flag(capsys):

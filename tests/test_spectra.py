@@ -73,7 +73,7 @@ def test_levels_match_closed_form_with_extrapolation_oracle():
     # extrapolated once here, vs closed form to 1e-6; the default solve
     # (its own extrapolation over (M//2, M)) agrees with this oracle to 1e-5
     prob = sp.RadialProblem(P002, 1, grid=sp.default_grid(P002, 1, k=6))
-    coarse, fine = (sp._grid_levels(prob, m, 6) for m in (4000, 8000))
+    coarse, fine = (sp._grid_solve(prob, m, 6)[0] for m in (4000, 8000))
     oracle = (4.0 * fine - coarse) / 3.0
     for n_r, val in enumerate(oracle):
         closed = closed_form_energy(P002, 2 * n_r + 1)
@@ -98,13 +98,29 @@ def test_spectrum_report_structure():
     es = [lv.e_numeric for lv in rep.levels]
     assert all(b > a for a, b in zip(es, es[1:]))
     assert all(e < rep.threshold for e in es)
-    assert rep.count_below_threshold >= len(rep.levels)
     body = rep.to_json()
     assert body["levels"][0]["n"] == 0
     assert body["threshold"] == 25.0
     # n = 2 n_r + l bookkeeping
     rep1 = sp.solve_bound_states(sp.RadialProblem(P002, l=3), k=3)
     assert [lv.n for lv in rep1.levels] == [3, 5, 7]
+
+
+@pytest.mark.parametrize("eigenvectors", (False, True))
+def test_each_grid_is_solved_for_exactly_k_levels(monkeypatch, eigenvectors):
+    from scipy.linalg import eigh_tridiagonal
+
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((len(args[0]), kwargs["select_range"], kwargs["eigvals_only"]))
+        return eigh_tridiagonal(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "eigh_tridiagonal", recording)
+    problem = sp.RadialProblem(P002, l=1, grid=sp.default_grid(P002, 1, k=4))
+    rep = sp.solve_bound_states(problem, k=4, eigenvectors=eigenvectors)
+    assert len(rep.levels) == 4
+    assert sorted(calls) == [(500, (0, 3), True), (1000, (0, 3), not eigenvectors)]
 
 
 def test_grid_warning_heuristic():
