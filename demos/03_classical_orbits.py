@@ -3,7 +3,8 @@
 Integrates random bounded initial data of the deformed oscillator, watches
 the full invariant family stay constant, measures the global error against the
 closed-form trajectory, checks that the orbit closes after the closed-form
-period T(H), and counts functionally independent invariants by Jacobian rank.
+period T(H), and counts functionally independent invariants by the exact
+Jacobian rank.
 """
 
 import numpy as np
@@ -47,7 +48,7 @@ radii = [np.linalg.norm(s.q) for s in rec.samples]
 print(f"|q| grows without bound: r(0)={radii[0]:.2f} -> r(50)={radii[-1]:.2f}\n")
 
 print("=" * 70)
-print("4. Poisson brackets with H vanish (finite differences)")
+print("4. Poisson brackets with H vanish (exact, at the rational point of the state)")
 print("=" * 70)
 for name in cl.invariant_names(3):
     if name == "H":

@@ -1,7 +1,7 @@
 """Exact symbolic engine for the Weyl algebra of the curved-oscillator operators."""
 
 from .ring import Coefficient, GaussRat, Poly, d_poly, divide_by_d, q_squared
-from .operators import OperatorExpr, weighted_adjoint
+from .operators import OperatorExpr, symbol_gradients, weighted_adjoint
 from .parser import ParseError, parse
 from .builders import (
     build_angular_invariants,
@@ -47,6 +47,7 @@ __all__ = [
     "q_squared",
     "similarity_checks",
     "sl2_generators",
+    "symbol_gradients",
     "verify_theorem",
     "weighted_adjoint",
 ]

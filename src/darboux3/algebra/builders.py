@@ -27,29 +27,35 @@ def _lam(nq, power=1):
     return Poly.variable(nq, Poly.idx_lambda(nq), power)
 
 
+def _alpha(nq, *axes):
+    """Momentum exponents with one power of p_i per listed axis i."""
+    alpha = [0] * nq
+    for i in axes:
+        alpha[i] += 1
+    return tuple(alpha)
+
+
 def base_hamiltonian(nq):
     """H = (p^2 + omega^2 q^2) / (2 D), the direct quantization."""
-    terms = {}
-    for i in range(nq):
-        alpha = [0] * nq
-        alpha[i] = 2
-        terms[tuple(alpha)] = Coefficient(Poly.constant(nq, Fraction(1, 2)), 1)
-    potential = Coefficient(_omega_sq(nq) * q_squared(nq) * Fraction(1, 2), 1)
-    terms[(0,) * nq] = potential
+    half = Coefficient(Poly.constant(nq, Fraction(1, 2)), 1)
+    terms = {_alpha(nq, i, i): half for i in range(nq)}
+    terms[(0,) * nq] = Coefficient(_omega_sq(nq) * q_squared(nq) * Fraction(1, 2), 1)
     return OperatorExpr(nq, terms)
+
+
+def _q_dot_p(nq, scale):
+    """scale * hbar*lambda/D^2 * (q.p)."""
+    out = OperatorExpr.zero(nq)
+    for i in range(nq):
+        num = Poly.variable(nq, i) * _hbar(nq) * _lam(nq) * scale
+        out._put(_alpha(nq, i), Coefficient(num, 2))
+    return out
 
 
 def potential_u1(nq):
     """Momentum-dependent correction of the Laplace-Beltrami kinetic term:
     -i*hbar*lambda*(N-2)/(2 D^2) * (q.p)."""
-    out = OperatorExpr.zero(nq)
-    scale = GaussRat(0, Fraction(-(nq - 2), 2))
-    for i in range(nq):
-        alpha = [0] * nq
-        alpha[i] = 1
-        num = Poly.variable(nq, i) * _hbar(nq) * _lam(nq) * scale
-        out._put(tuple(alpha), Coefficient(num, 2))
-    return out
+    return _q_dot_p(nq, GaussRat(0, Fraction(-(nq - 2), 2)))
 
 
 def potential_u2(nq):
@@ -63,13 +69,7 @@ def potential_u2(nq):
 def potential_v1(nq):
     """Momentum-dependent correction of the symmetric PDM kinetic term:
     +i*hbar*lambda/D^2 * (q.p)."""
-    out = OperatorExpr.zero(nq)
-    for i in range(nq):
-        alpha = [0] * nq
-        alpha[i] = 1
-        num = Poly.variable(nq, i) * _hbar(nq) * _lam(nq) * I_UNIT
-        out._put(tuple(alpha), Coefficient(num, 2))
-    return out
+    return _q_dot_p(nq, I_UNIT)
 
 
 def potential_v2(nq):
@@ -169,31 +169,22 @@ def build_fradkin(flavor, nq):
     for i in range(nq):
         for j in range(i, nq):
             qij = Poly.variable(nq, i) * Poly.variable(nq, j)
-            entry = OperatorExpr.zero(nq)
-            alpha = [0] * nq
-            alpha[i] += 1
-            alpha[j] += 1
-            entry._put(tuple(alpha), Coefficient.constant(nq, 1))
+            entry = OperatorExpr(nq, {_alpha(nq, i, j): Coefficient.constant(nq, 1)})
             # -2*lambda*q_i*q_j*H + omega^2*q_i*q_j, shared by all flavors
             entry = entry + h.scale(Coefficient(qij * lam * (-2)))
             entry._put((0,) * nq, Coefficient(qij * om2))
-            if flavor == "tlb":
-                c = GaussRat(0, Fraction(-(nq - 2), 2))
+            if flavor != "schrodinger":
+                # hbar*lambda*c*(q_i p_j + q_j p_i)/D, c the factor of U1 or V1
+                c = GaussRat(0, Fraction(-(nq - 2), 2)) if flavor == "tlb" else I_UNIT
                 for a, b in ((i, j), (j, i)):
-                    al = [0] * nq
-                    al[b] += 1
                     num = Poly.variable(nq, a) * _hbar(nq) * lam * c
-                    entry._put(tuple(al), Coefficient(num, 1))
+                    entry._put(_alpha(nq, b), Coefficient(num, 1))
+            if flavor == "tlb":
                 scal = Fraction(nq - 2) * (1 - Fraction(nq - 2, 4))
                 entry._put((0,) * nq, Coefficient(qij * hb2 * _lam(nq, 2) * scal, 2))
                 if i == j:
                     entry._put((0,) * nq, Coefficient(hb2 * lam * Fraction(-(nq - 2), 2), 1))
             elif flavor == "tpdm":
-                for a, b in ((i, j), (j, i)):
-                    al = [0] * nq
-                    al[b] += 1
-                    num = Poly.variable(nq, a) * _hbar(nq) * lam * I_UNIT
-                    entry._put(tuple(al), Coefficient(num, 1))
                 entry._put((0,) * nq, Coefficient(qij * hb2 * _lam(nq, 2) * (-3), 2))
                 if i == j:
                     entry._put((0,) * nq, Coefficient(hb2 * lam, 1))
@@ -204,17 +195,9 @@ def build_fradkin(flavor, nq):
 
 def sl2_generators(nq):
     """Realization (J+, J-, J3) = (p^2, q^2, q.p - i*hbar*N/2)."""
-    jp = OperatorExpr.zero(nq)
-    for i in range(nq):
-        alpha = [0] * nq
-        alpha[i] = 2
-        jp._put(tuple(alpha), Coefficient.constant(nq, 1))
+    jp = OperatorExpr(nq, {_alpha(nq, i, i): Coefficient.constant(nq, 1) for i in range(nq)})
     jm = OperatorExpr.from_coefficient(nq, Coefficient(q_squared(nq)))
-    j3 = OperatorExpr.zero(nq)
-    for i in range(nq):
-        alpha = [0] * nq
-        alpha[i] = 1
-        j3._put(tuple(alpha), Coefficient(Poly.variable(nq, i)))
+    j3 = OperatorExpr(nq, {_alpha(nq, i): Coefficient(Poly.variable(nq, i)) for i in range(nq)})
     j3._put((0,) * nq, Coefficient(_hbar(nq) * GaussRat(0, Fraction(-nq, 2))))
     return jp, jm, j3
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as _cartesian
-from math import comb
+from math import comb, prod
 
 from .ring import Coefficient, GaussRat, Poly, d_poly
 
@@ -273,6 +273,31 @@ def _push_through(alpha, coeff):
             e[ih] = g
             c = c * Poly.monomial(nq, e, _MINUS_I_POW[g % 4] * binom)
         yield tuple(a - g_ for a, g_ in zip(alpha, gamma)), c
+
+
+def symbol_gradients(ops, q, p, lam, omega):
+    """Gradients of the hbar = 0 symbols of ``ops`` at the point (q, p), one
+    row per operator: d/dq_1..d/dq_N, then d/dp_1..d/dp_N.
+
+    The symbol of sum_alpha c_alpha(q) p^alpha is that sum with commuting q
+    and p; every entry is exact (see Poly.eval) for Fraction arguments.
+    """
+    nq = len(q)
+    values = (*q, lam, omega, 0)
+    rows = []
+    for op in ops:
+        row = [0] * (2 * nq)
+        for alpha, c in op.terms.items():
+            c = Coefficient(c.num.substitute_zero(Poly.idx_hbar(nq)), c.dpow)
+            value, mono = c.eval(values), prod(x**a for x, a in zip(p, alpha) if a)
+            for i, k in enumerate(alpha):
+                if dq := c.diff_q(i):
+                    row[i] += dq.eval(values) * mono
+                if k:  # d/dp_i p^alpha = k p^(alpha - e_i)
+                    lower = alpha[:i] + (k - 1,) + alpha[i + 1:]
+                    row[nq + i] += k * value * prod(x**a for x, a in zip(p, lower) if a)
+        rows.append(row)
+    return rows
 
 
 def weighted_adjoint(x, weight_power):

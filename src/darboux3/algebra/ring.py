@@ -302,16 +302,26 @@ class Poly:
         return max((e[idx] for e in self.terms), default=0)
 
     def eval(self, values):
-        """Numeric evaluation; ``values`` is a sequence of nq+3 numbers."""
-        total = 0j
-        den = self.den
+        """Value at ``values``, nq+3 numbers: complex for floats; for ints and
+        Fractions exact, a Fraction when real and a GaussRat otherwise."""
+        exact = all(isinstance(x, (int, Fraction)) for x in values)
+        s, top = 1, 0
+        if exact:  # integers n = s*x, and a term of degree d times s^(top - d)
+            s = lcm(*(x.denominator for x in values))
+            values = [x.numerator * (s // x.denominator) for x in values]
+            top = max(map(sum, self.terms), default=0)
+        re = im = 0
         for e, (a, b) in self.terms.items():
-            v = complex(a / den, b / den)
+            m = s ** (top - sum(e))
             for k, x in zip(e, values):
                 if k:
-                    v *= x ** k
-            total += v
-        return total
+                    m *= x**k
+            re += a * m
+            im += b * m
+        if not exact:
+            return complex(re, im) / self.den
+        den = self.den * s**top
+        return GaussRat(Fraction(re, den), Fraction(im, den)) if im else Fraction(re, den)
 
     # -- printing ------------------------------------------------------------
 
@@ -531,6 +541,8 @@ class Coefficient:
         return Coefficient(self.num.substitute_zero(Poly.idx_lambda(nq)))
 
     def eval(self, values):
+        if not self.dpow:
+            return self.num.eval(values)
         d = _d_power(self.num.nq, 1).eval(values)
         return self.num.eval(values) / d ** self.dpow
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .operators import OperatorExpr, weighted_adjoint
 from .builders import (
@@ -29,6 +30,9 @@ MAX_COMMUTATOR_MOMENTUM_DEGREE = 4
 MAX_COMMUTATOR_D_POWER = 6
 
 ALL_PARTS = ("i", "ii", "sl2", "conjugation")
+# whether a part reads Fradkin entry (i, j)
+PART_READS_ENTRY = {"i": lambda i, j: True, "ii": lambda i, j: i == j,
+                    "sl2": lambda i, j: False, "conjugation": lambda i, j: True}
 
 
 @dataclass
@@ -109,7 +113,9 @@ def verify_theorem(flavor, nq, parts=ALL_PARTS, fradkin=None):
 
     A prebuilt (possibly corrupted) ``fradkin`` tensor may be injected for
     mutation testing.  Functional independence (part iii of the statements)
-    is not checked here; it is delegated to the rank check in classical.py.
+    is not checked here: classical.independence_rank certifies it, as the
+    exact rank of the gradients of these operators' hbar = 0 symbols at a
+    rational point.
     """
     if flavor not in FRADKIN_FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -133,28 +139,17 @@ def verify_theorem(flavor, nq, parts=ALL_PARTS, fradkin=None):
                 report.checks.append(
                     _commutator_check(hname, h, f"I_{i+1}{j+1}", fradkin[i][j])
                 )
-        trace = OperatorExpr.zero(nq)
-        for i in range(nq):
-            trace = trace + fradkin[i][i]
-        report.checks.append(
-            _residual_check(hname, "(1/2) sum_i I_ii", h + h - trace)
-        )
+        trace = sum((fradkin[i][i] for i in range(nq)), OperatorExpr.zero(nq))
+        report.checks.append(_residual_check(hname, "(1/2) sum_i I_ii", h + h - trace))
 
     if "ii" in parts:
         for prefix in ("C^", "C_"):
             names = [f"{prefix}({m})" for m in range(2, nq + 1)]
-            for a in range(len(names)):
-                for b in range(a + 1, len(names)):
-                    report.checks.append(
-                        _commutator_check(names[a], angular[names[a]], names[b], angular[names[b]])
-                    )
-        for i in range(nq):
-            for j in range(i + 1, nq):
-                report.checks.append(
-                    _commutator_check(
-                        f"I_{i+1}{i+1}", fradkin[i][i], f"I_{j+1}{j+1}", fradkin[j][j]
-                    )
-                )
+            for a, b in combinations(names, 2):
+                report.checks.append(_commutator_check(a, angular[a], b, angular[b]))
+        for i, j in combinations(range(nq), 2):
+            report.checks.append(_commutator_check(
+                f"I_{i+1}{i+1}", fradkin[i][i], f"I_{j+1}{j+1}", fradkin[j][j]))
 
     if "sl2" in parts:
         jp, jm, j3 = sl2_generators(nq)
@@ -228,19 +223,10 @@ def similarity_checks(nq):
 
 
 def _conformal_check(nq):
-    u2 = potential_u2(nq)
-    r = curvature_coefficient(nq)
-    factor = Fraction(nq - 2, 8 * (nq - 1))
-    rhs = OperatorExpr.from_coefficient(nq, r * GaussRat(factor)).scale(
-        _hbar_sq_coeff(nq)
-    )
-    return _residual_check(
-        "U2", "hbar^2 (N-2) R / (8 (N-1))", u2 - rhs
-    )
-
-
-def _hbar_sq_coeff(nq):
-    return Coefficient(Poly.variable(nq, Poly.idx_hbar(nq), 2))
+    r = curvature_coefficient(nq) * GaussRat(Fraction(nq - 2, 8 * (nq - 1)))
+    hbar_sq = Coefficient(Poly.variable(nq, Poly.idx_hbar(nq), 2))
+    rhs = OperatorExpr.from_coefficient(nq, r).scale(hbar_sq)
+    return _residual_check("U2", "hbar^2 (N-2) R / (8 (N-1))", potential_u2(nq) - rhs)
 
 
 def conformal_potential_identity(nq):

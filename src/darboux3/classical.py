@@ -1,5 +1,5 @@
 """Classical mechanics of the curved oscillator: trajectories, conserved
-quantities, and numerical superintegrability evidence.
+quantities, and an exact superintegrability certificate.
 
 The flow is integrated by an adaptive high-order Runge-Kutta scheme (DOP853)
 with the drift of the full invariant family as the accuracy certificate.  It
@@ -9,22 +9,27 @@ frequency Omega = sqrt(omega^2 - 2 lambda H) of model.effective_frequency.
 So every bounded orbit closes, with the period closed_form_period(), and
 exact_state() gives the trajectory that measures the integrator's global
 error, which the invariant drift cannot see.
+
+The Poisson brackets and the independence rank are exact: they use the
+gradients of the hbar = 0 symbols of the algebra engine's operators,
+evaluated at Fraction(q, p), which is the float state exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache, lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize_scalar
 
+from .algebra import (build_angular_invariants, build_fradkin, build_hamiltonian,
+                      symbol_gradients)
 from .model import continuum_threshold, effective_frequency
 
-FD_STEP = 1e-6
-RANK_TOL = 1e-8
-RANK_ATTEMPTS = 5
 AXIS_MARGIN = 1e-3
 CLOSURE_THRESHOLD = 1e-4
 
@@ -298,75 +303,65 @@ def orbit_closure(params, initial, tolerance=1e-12):
     }
 
 
-def _gradients(params, names, state):
-    """Central-difference gradients of the named invariants in z = (q, p).
+@cache
+def _operators(dim):
+    """The invariants as schrodinger operators, keyed like invariant_names()
+    plus C_(N); their hbar = 0 symbols, the same for every flavor, are the
+    classical invariants."""
+    fradkin = build_fradkin("schrodinger", dim)
+    return {"H": build_hamiltonian("schrodinger", dim), **build_angular_invariants(dim),
+            **{f"I_{i+1}{j+1}": fradkin[i][j] for i in range(dim) for j in range(i, dim)}}
 
-    Coordinate z_k moves by +-FD_STEP*max(1, |z_k|); the 4N moved points go through
-    one invariant_values() call.  One row per name, columns (dq, dp).
-    """
-    n = state.dim
-    z = state.as_vector()
-    steps = FD_STEP * np.maximum(1.0, np.abs(z))
-    moved = np.concatenate([z[:, None] + np.diag(steps), z[:, None] - np.diag(steps)], axis=1)
-    vals = invariant_values(params, moved[:n], moved[n:])
-    index = _row_index(n)
-    rows = [index[name] for name in names]
-    return (vals[rows, : 2 * n] - vals[rows, 2 * n :]) / (2 * steps)
+
+@lru_cache(maxsize=64)
+def _symbol_row(name, q, p, lam, omega):
+    """Exact gradient of one named invariant at a rational point; cached (and
+    never modified), since the brackets and the rank of a state share rows."""
+    return tuple(symbol_gradients([_operators(len(q))[name]], q, p, lam, omega)[0])
+
+
+def _symbol_rows(params, names, state):
+    """Exact gradients in z = (q, p) of the named invariants, one row of
+    Fractions per name, at Fraction(z), which is the float state exactly."""
+    point = [tuple(map(Fraction, x.tolist())) for x in (state.q, state.p)]
+    point += [Fraction(params.lam), Fraction(params.omega)]
+    return [_symbol_row(name, *point) for name in names]
 
 
 def involution_matrix(params, names, state):
-    """Pairwise Poisson brackets among named invariants (antisymmetric part)."""
+    """Pairwise Poisson brackets among named invariants, exact, then rounded
+    to floats."""
     n = state.dim
-    grad = _gradients(params, names, state)
+    grad = np.array(_symbol_rows(params, names, state), dtype=object)
     upper = np.triu(grad[:, :n] @ grad[:, n:].T - grad[:, n:] @ grad[:, :n].T, 1)
-    return upper - upper.T
+    return (upper - upper.T).astype(float)
 
 
 def poisson_bracket_with_h(params, name, state):
-    """Finite-difference Poisson bracket {H, I_name} at a state."""
+    """Exact Poisson bracket {H, I_name} at a state, as a float."""
     return float(involution_matrix(params, ["H", name], state)[0, 1])
 
 
 def independence_names(dim):
-    """The 2N-1 member family {H, C^(m), C_(m), I_11}.
-
-    C_(N) coincides with C^(N) and is listed once.
-    """
-    names = ["H"]
-    names += [f"C^({m})" for m in range(2, dim + 1)]
-    names += [f"C_({m})" for m in range(2, dim)]
-    names.append("I_11")
-    return names
+    """The 2N-1 member family {H, C^(m), C_(m), I_11}, the first 2N-1 names of
+    invariant_names() (C_(N) coincides with C^(N) and is listed once)."""
+    return invariant_names(dim)[: 2 * dim - 1]
 
 
 def independence_rank(params, state, names=None):
-    """Numerical rank of the invariant Jacobian at a phase-space point.
-
-    Singular values above RANK_TOL times the largest count toward the rank;
-    a generic state of the full family gives 2N-1.
-    """
-    if names is None:
-        names = independence_names(state.dim)
-    jac = _gradients(params, names, state)
-    sv = np.linalg.svd(jac, compute_uv=False)
-    if sv[0] == 0:
-        return 0
-    return int(np.sum(sv > RANK_TOL * sv[0]))
-
-
-def independence_rank_robust(params, rng, dim):
-    """Rank over up to RANK_ATTEMPTS random generic states; raises if every
-    sampled state is rank-deficient."""
-    expected = 2 * dim - 1
+    """Exact rank, by Gaussian elimination over the rationals, of the
+    invariant Jacobian at a phase-space point: 2N-1 for a generic state of
+    the full family; full rank at one point certifies independence on an
+    open set around it."""
+    rows = _symbol_rows(params, names or independence_names(state.dim), state)
     rank = 0
-    for _ in range(RANK_ATTEMPTS):
-        state = random_state(params, rng, dim)
-        rank = independence_rank(params, state)
-        if rank == expected:
-            return rank
-    raise RuntimeError(
-        f"rank deficit across {RANK_ATTEMPTS} random states (last rank {rank}, expected {expected})"
-    )
+    for col in range(2 * state.dim):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is not None:
+            rank += 1
+            rows = [[a - r[col] / pivot[col] * b for a, b in zip(r, pivot)] if r[col] else r
+                    for r in rows if r is not pivot]
+    return rank
 
 
 def random_state(params, rng, dim, bounded=True):

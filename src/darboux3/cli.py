@@ -25,7 +25,7 @@ from .algebra import (
     similarity_checks,
     verify_theorem,
 )
-from .algebra.verify import ALL_PARTS, fradkin_label_indices
+from .algebra.verify import ALL_PARTS, PART_READS_ENTRY, fradkin_label_indices
 from .model import (
     ModelParams,
     classical_effective_minimum,
@@ -98,7 +98,7 @@ def build_parser():
     v.add_argument("--flavor", choices=("schrodinger", "tlb", "tpdm"), default="schrodinger")
     v.add_argument(
         "--parts", type=_parts, default=",".join(ALL_PARTS),
-        help="comma-separated subset of i,ii,sl2,conjugation",
+        help=f"comma-separated subset of {','.join(ALL_PARTS)}",
     )
     v.add_argument("--similarity", action="store_true",
                    help="also run the similarity/adjoint identity suite")
@@ -228,12 +228,8 @@ def cmd_classical(args):
     state = cl.random_state(params, rng, args.dim)
     record = cl.integrate(params, state, args.t_end, tolerance=args.tolerance)
     closure = cl.orbit_closure(params, state)
-    names = cl.independence_names(args.dim)
-    brackets = {
-        name: cl.poisson_bracket_with_h(params, name, state)
-        for name in names
-        if name != "H"
-    }
+    names = cl.independence_names(args.dim)[1:]  # all but H itself
+    brackets = {name: cl.poisson_bracket_with_h(params, name, state) for name in names}
     rank = cl.independence_rank(params, state)
     expected_rank = 2 * args.dim - 1
     body = {
@@ -331,13 +327,12 @@ def main(argv=None):
     if args.command == "verify" and args.corrupt is not None:
         # the valid labels depend on --dim, so they are checked after parsing
         try:
-            fradkin_label_indices(args.corrupt, args.dim)
+            i, j = fradkin_label_indices(args.corrupt, args.dim)
         except ValueError as exc:
             args.parser.error(f"argument --corrupt: {exc}")
-        # only these parts read every Fradkin entry; without them the
-        # mutation control would pass silently
-        if not {"i", "conjugation"} & set(args.parts):
-            args.parser.error("argument --corrupt: needs --parts to include i or conjugation")
+        # a mutation no selected part reads would pass silently
+        if not any(PART_READS_ENTRY[part](i, j) for part in args.parts):
+            args.parser.error(f"argument --corrupt: no part in --parts reads {args.corrupt}")
     handlers = {
         "verify": cmd_verify,
         "spectrum": cmd_spectrum,

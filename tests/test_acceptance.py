@@ -220,7 +220,7 @@ def test_criterion_7_classical_suite():
     elapsed = time.time() - t0
     ok = (
         worst_drift < 1e-7
-        and worst_bracket < 1e-6
+        and worst_bracket == 0.0
         and ranks == {5}
         and worst_closure < 1e-4
         and elapsed < 180.0
@@ -228,7 +228,7 @@ def test_criterion_7_classical_suite():
     _report(
         7, ok,
         f"20 bounded orbits: drift {worst_drift:.2e} < 1e-7, "
-        f"brackets {worst_bracket:.2e} < 1e-6, ranks {sorted(ranks)} == [5], "
+        f"brackets {worst_bracket:.2e} == 0, ranks {sorted(ranks)} == [5], "
         f"closure {worst_closure:.2e} < 1e-4, {elapsed:.0f}s (budget 180s)",
     )
 

@@ -5,11 +5,15 @@ builders' structural identities are checked plus one complete dimension.
 """
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from darboux3.algebra import (
+    Coefficient,
+    GaussRat,
     OperatorExpr,
+    Poly,
     build_angular_invariants,
     build_fradkin,
     build_hamiltonian,
@@ -22,6 +26,7 @@ from darboux3.algebra import (
     potential_v2,
     similarity_checks,
     sl2_generators,
+    symbol_gradients,
     verify_theorem,
 )
 
@@ -170,3 +175,58 @@ def test_report_json_shape():
     assert body["all_zero"] is True
     for check in body["checks"]:
         assert set(check) >= {"lhs", "rhs", "commutator_zero", "residual_terms"}
+
+
+# a rational phase-space point at N = 3, lambda = 1/50, omega = 1
+POINT = (
+    [Fraction(k + 2, 7) for k in range(3)],
+    [Fraction(3 - 2 * k, 5) for k in range(3)],
+    Fraction(1, 50),
+    Fraction(1),
+)
+
+
+def _classical_symbol(op):
+    """The hbar = 0 part of a normal-ordered operator, as an operator."""
+    ih = Poly.idx_hbar(op.nq)
+    out = OperatorExpr(op.nq)
+    for alpha, c in op.terms.items():
+        out._put(alpha, Coefficient(c.num.substitute_zero(ih), c.dpow))
+    return out
+
+
+def _hbar_one_symbol(op, q, p, lam, omega):
+    """The hbar^1 coefficient of the normal-ordered symbol of op at (q, p)."""
+    ih = Poly.idx_hbar(op.nq)
+    return sum(
+        Coefficient(c.num.diff(ih), c.dpow).eval((*q, lam, omega, 0))
+        * prod(x**k for x, k in zip(p, alpha))
+        for alpha, c in op.terms.items()
+    )
+
+
+@pytest.mark.parametrize("flavor", ["schrodinger", "tlb", "tpdm"])
+def test_commutator_hbar_one_symbol_is_i_times_poisson_bracket(flavor):
+    # symbol of [A, B] = -i hbar (d_p a d_q b - d_p b d_q a) + O(hbar^2), so a
+    # zero commutator implies classical involution of the hbar = 0 symbols
+    h = build_hamiltonian(flavor, 3)
+    fradkin = build_fradkin(flavor, 3)
+    for a, b, zero in ((fradkin[0][0], fradkin[0][1], False), (h, fradkin[0][1], True)):
+        ga, gb = symbol_gradients([a, b], *POINT)
+        bracket = sum(ga[i] * gb[3 + i] - ga[3 + i] * gb[i] for i in range(3))
+        assert (bracket == 0) == zero
+        assert _hbar_one_symbol(a.commutator(b), *POINT) == GaussRat(0, bracket)
+
+
+def test_classical_symbols_agree_across_flavors():
+    # why the classical certificate may read the schrodinger operators
+    for nq in (2, 3):
+        h = build_hamiltonian("schrodinger", nq)
+        base = build_fradkin("schrodinger", nq)
+        assert _classical_symbol(h) == h
+        for flavor in ("tlb", "tpdm"):
+            assert _classical_symbol(build_hamiltonian(flavor, nq)) == h
+            fradkin = build_fradkin(flavor, nq)
+            for i in range(nq):
+                for j in range(i, nq):
+                    assert _classical_symbol(fradkin[i][j]) == _classical_symbol(base[i][j])

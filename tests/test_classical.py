@@ -1,10 +1,14 @@
 """Classical dynamics: canonical equations, conservation, superintegrability."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from darboux3.algebra import (
+    build_fradkin, build_hamiltonian, corrupt_fradkin, symbol_gradients,
+)
 from darboux3.model import ModelParams, closed_form_energy, continuum_threshold
 from darboux3 import classical as cl
 from darboux3 import reports as rp
@@ -179,7 +183,7 @@ def test_poisson_brackets_vanish_with_h():
     for name in cl.invariant_names(3):
         if name == "H":
             continue
-        assert abs(cl.poisson_bracket_with_h(PARAMS, name, st)) < 1e-6
+        assert cl.poisson_bracket_with_h(PARAMS, name, st) == 0.0
 
 
 def test_involution_sets():
@@ -192,7 +196,7 @@ def test_involution_sets():
     )
     for names in sets:
         mat = cl.involution_matrix(PARAMS, names, st)
-        assert np.max(np.abs(mat)) < 1e-6
+        assert np.max(np.abs(mat)) == 0.0
 
 
 def test_independence_ranks():
@@ -204,7 +208,6 @@ def test_independence_ranks():
     p2 = ModelParams(dim=2, lam=0.02)
     st2 = cl.random_state(p2, rng, 2)
     assert cl.independence_rank(p2, st2) == 3
-    assert cl.independence_rank_robust(PARAMS, rng, 3) == 5
 
 
 def test_hyperspherical_roundtrip_and_identities():
@@ -325,12 +328,31 @@ def test_fd_brackets_and_rank_match_reference(dim):
     assert cl.independence_rank(params, st) == 2 * dim - 1
 
 
+def test_exact_certificate_mutation_controls():
+    # the exact brackets and rank still see what is not an invariant or not
+    # independent
+    st = cl.random_state(PARAMS, np.random.default_rng(7), 3)
+    q = [Fraction(x) for x in st.q.tolist()]
+    p = [Fraction(x) for x in st.p.tolist()]
+    lam, omega = Fraction(PARAMS.lam), Fraction(PARAMS.omega)
+    h = build_hamiltonian("schrodinger", 3)
+    bad = corrupt_fradkin(build_fradkin("schrodinger", 3), "I11")[0][0]
+    gh, gb = symbol_gradients([h, bad], q, p, lam, omega)
+    bracket = sum(gh[i] * gb[3 + i] - gh[3 + i] * gb[i] for i in range(3))
+    # the dropped -omega^2 q1^2 leaves {H, I_11 - omega^2 q1^2} = 2 omega^2 q1 p1 / D
+    expect = 2 * omega**2 * q[0] * p[0] / (1 + lam * sum(x * x for x in q))
+    assert expect != 0 and bracket == expect
+    assert cl.involution_matrix(PARAMS, ["I_11", "I_12"], st)[0, 1] != 0.0
+    assert cl.independence_rank(PARAMS, st, names=["H", "I_11", "I_22", "I_33"]) == 3
+    assert cl.independence_rank(PARAMS, st, names=["H", "C_(2)", "C^(3)"]) == 3
+
+
 def test_involution_matrix_accepts_c_lower_n():
     rng = np.random.default_rng(43)
     st = cl.random_state(PARAMS, rng, 3)
     mat = cl.involution_matrix(PARAMS, ["H", "C_(2)", "C_(3)", "C^(3)"], st)
     assert mat.shape == (4, 4)
-    assert np.max(np.abs(mat)) < 1e-6
+    assert np.max(np.abs(mat)) == 0.0
     inv = cl.classical_invariants(PARAMS, st)
     assert inv["C_(3)"] == inv["C^(3)"]
 

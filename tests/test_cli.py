@@ -44,6 +44,11 @@ def test_verify_corrupt_fails(capsys):
         capsys, "verify", "--dim", "2", "--parts", "i", "--corrupt", "I12", "--no-timestamp"
     )
     assert code == 1 and json.loads(out)["corrupt"] == "I12"
+    # part ii commutes the diagonal Fradkin entries, so it reads I11
+    code, out = run_cli(
+        capsys, "verify", "--dim", "2", "--parts", "ii", "--corrupt", "I11", "--no-timestamp"
+    )
+    assert code == 1 and json.loads(out)["corrupt"] == "I11"
 
 
 BAD_FLAGS = (
@@ -62,7 +67,7 @@ BAD_FLAGS = (
     ["classical", "--t-end", "0"],
     ["verify", "--corrupt", "XYZ"],
     ["verify", "--dim", "2", "--corrupt", "I33"],
-    # only the parts i and conjugation read every Fradkin entry
+    # no selected part reads the corrupted entry (ii reads the diagonal only)
     ["verify", "--dim", "2", "--parts", "sl2", "--corrupt", "I12"],
     ["verify", "--dim", "2", "--parts", "ii", "--corrupt", "I12"],
 )
@@ -195,19 +200,22 @@ def test_spectrum_all_flavors(capsys):
     assert set(rep["levels"]) == {"schrodinger", "tlb", "tpdm"}
 
 
-def test_classical_report_and_exit(capsys, tmp_path):
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_classical_report_and_exit(capsys, tmp_path, dim):
     traj = tmp_path / "traj.csv"
     code, out = run_cli(
-        capsys, "classical", "--dim", "3", "--lambda", "0.02", "--seed", "7",
+        capsys, "classical", "--dim", str(dim), "--lambda", "0.02", "--seed", "7",
         "--trajectory", str(traj), "--no-timestamp",
     )
     assert code == 0
     rep = json.loads(out)
     assert rep["max_drift"] < 1e-7
-    assert rep["independence_rank"] == 5
+    assert rep["max_poisson_bracket"] == 0.0
+    assert rep["independence_rank"] == 2 * dim - 1
     assert rep["closure"]["conclusive"] is True
     header = traj.read_text().splitlines()[0]
-    assert header == "t,q1,q2,q3,p1,p2,p3"
+    axes = range(1, dim + 1)
+    assert header == ",".join(["t", *(f"q{k}" for k in axes), *(f"p{k}" for k in axes)])
 
 
 def test_classical_flat_period(capsys):
