@@ -1,6 +1,6 @@
 """Exact symbolic engine for the Weyl algebra of the curved-oscillator operators."""
 
-from .ring import Coefficient, GaussRat, Poly, d_poly, divide_by_d, q_squared
+from .ring import Coefficient, Poly, d_poly, divide_by_d, q_squared
 from .operators import OperatorExpr, symbol_gradients, weighted_adjoint
 from .parser import ParseError, parse
 from .builders import (
@@ -26,7 +26,6 @@ from .verify import (
 __all__ = [
     "Check",
     "Coefficient",
-    "GaussRat",
     "OperatorExpr",
     "ParseError",
     "Poly",

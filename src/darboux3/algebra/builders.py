@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ring import I_UNIT, Coefficient, GaussRat, Poly, q_squared
+from .ring import Coefficient, Poly, q_squared
 from .operators import OperatorExpr
 
 HAMILTONIAN_FLAVORS = ("schrodinger", "lb", "tlb", "pdm", "tpdm")
@@ -43,11 +43,11 @@ def base_hamiltonian(nq):
     return OperatorExpr(nq, terms)
 
 
-def _q_dot_p(nq, scale):
-    """scale * hbar*lambda/D^2 * (q.p)."""
+def _q_dot_p(nq, im):
+    """i*im * hbar*lambda/D^2 * (q.p), for a rational im."""
     out = OperatorExpr.zero(nq)
     for i in range(nq):
-        num = Poly.variable(nq, i) * _hbar(nq) * _lam(nq) * scale
+        num = Poly.variable(nq, i) * _hbar(nq) * _lam(nq) * Poly.constant(nq, 0, im)
         out._put(_alpha(nq, i), Coefficient(num, 2))
     return out
 
@@ -55,7 +55,7 @@ def _q_dot_p(nq, scale):
 def potential_u1(nq):
     """Momentum-dependent correction of the Laplace-Beltrami kinetic term:
     -i*hbar*lambda*(N-2)/(2 D^2) * (q.p)."""
-    return _q_dot_p(nq, GaussRat(0, Fraction(-(nq - 2), 2)))
+    return _q_dot_p(nq, Fraction(-(nq - 2), 2))
 
 
 def potential_u2(nq):
@@ -69,7 +69,7 @@ def potential_u2(nq):
 def potential_v1(nq):
     """Momentum-dependent correction of the symmetric PDM kinetic term:
     +i*hbar*lambda/D^2 * (q.p)."""
-    return _q_dot_p(nq, I_UNIT)
+    return _q_dot_p(nq, 1)
 
 
 def potential_v2(nq):
@@ -175,7 +175,7 @@ def build_fradkin(flavor, nq):
             entry._put((0,) * nq, Coefficient(qij * om2))
             if flavor != "schrodinger":
                 # hbar*lambda*c*(q_i p_j + q_j p_i)/D, c the factor of U1 or V1
-                c = GaussRat(0, Fraction(-(nq - 2), 2)) if flavor == "tlb" else I_UNIT
+                c = Poly.constant(nq, 0, Fraction(-(nq - 2), 2) if flavor == "tlb" else 1)
                 for a, b in ((i, j), (j, i)):
                     num = Poly.variable(nq, a) * _hbar(nq) * lam * c
                     entry._put(_alpha(nq, b), Coefficient(num, 1))
@@ -198,7 +198,7 @@ def sl2_generators(nq):
     jp = OperatorExpr(nq, {_alpha(nq, i, i): Coefficient.constant(nq, 1) for i in range(nq)})
     jm = OperatorExpr.from_coefficient(nq, Coefficient(q_squared(nq)))
     j3 = OperatorExpr(nq, {_alpha(nq, i): Coefficient(Poly.variable(nq, i)) for i in range(nq)})
-    j3._put((0,) * nq, Coefficient(_hbar(nq) * GaussRat(0, Fraction(-nq, 2))))
+    j3._put((0,) * nq, Coefficient(_hbar(nq) * Poly.constant(nq, 0, Fraction(-nq, 2))))
     return jp, jm, j3
 
 

@@ -18,10 +18,10 @@ from fractions import Fraction
 from itertools import product as _cartesian
 from math import comb, prod
 
-from .ring import Coefficient, GaussRat, Poly, d_poly
+from .ring import Coefficient, Poly, d_poly
 
-# powers of -i cycle with period 4
-_MINUS_I_POW = (GaussRat(1), GaussRat(0, -1), GaussRat(-1), GaussRat(0, 1))
+# powers of -i cycle with period 4, as (re, im) pairs
+_MINUS_I_POW = ((1, 0), (0, -1), (-1, 0), (0, 1))
 
 
 class OperatorExpr:
@@ -108,7 +108,7 @@ class OperatorExpr:
         return OperatorExpr(self.nq, {a: -c for a, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
+        if isinstance(other, (int, Fraction)):
             other = OperatorExpr.scalar(self.nq, other)
         out = OperatorExpr(self.nq, dict(self.terms))
         for a, c in other.terms.items():
@@ -118,7 +118,7 @@ class OperatorExpr:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
+        if isinstance(other, (int, Fraction)):
             other = OperatorExpr.scalar(self.nq, other)
         return self + (-other)
 
@@ -128,8 +128,6 @@ class OperatorExpr:
     def scale(self, c):
         """Multiply by a scalar or by a pure function of q (a Coefficient)."""
         if isinstance(c, (int, Fraction)):
-            c = GaussRat(c)
-        if isinstance(c, GaussRat):
             if not c:
                 return OperatorExpr.zero(self.nq)
             return OperatorExpr(self.nq, {a: v * c for a, v in self.terms.items()})
@@ -141,7 +139,7 @@ class OperatorExpr:
     # -- multiplication ------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         out = OperatorExpr(self.nq)
         for alpha, c in self.terms.items():
@@ -152,7 +150,7 @@ class OperatorExpr:
         return out
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
 
@@ -194,7 +192,7 @@ class OperatorExpr:
             e[i] = 1
             e[Poly.idx_lambda(nq)] = 1
             e[Poly.idx_hbar(nq)] = 1
-            extra = Coefficient(Poly.monomial(nq, e, GaussRat(0, 2 * a)), 1)
+            extra = Coefficient(Poly.monomial(nq, e, 0, 2 * a), 1)
             shifted.append(OperatorExpr.momentum(nq, i) + OperatorExpr.from_coefficient(nq, extra))
         # cache powers of each shifted momentum
         maxpow = [0] * nq
@@ -271,7 +269,8 @@ def _push_through(alpha, coeff):
                 binom *= comb(ai, gi)
             e = [0] * (nq + 3)
             e[ih] = g
-            c = c * Poly.monomial(nq, e, _MINUS_I_POW[g % 4] * binom)
+            re, im = _MINUS_I_POW[g % 4]
+            c = c * Poly(nq, {tuple(e): (re * binom, im * binom)})
         yield tuple(a - g_ for a, g_ in zip(alpha, gamma)), c
 
 

@@ -20,8 +20,9 @@ operator algebra; its coefficients are reduced when it is printed or compared.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
-from .ring import I_UNIT, Coefficient, GaussRat, divide_by_d, d_poly
+from .ring import Coefficient, Poly, divide_by_d, d_poly
 from .operators import OperatorExpr
 
 
@@ -155,7 +156,8 @@ class _Parser:
             return OperatorExpr.scalar(self.nq, val)
         if kind == "name":
             if val == "i":
-                return OperatorExpr.scalar(self.nq, I_UNIT)
+                i_unit = Coefficient(Poly.constant(self.nq, 0, 1))
+                return OperatorExpr.from_coefficient(self.nq, i_unit)
             if val in ("lambda", "omega", "hbar"):
                 return OperatorExpr.symbol(self.nq, val)
             if val == "D":
@@ -185,11 +187,14 @@ def _invert(x, nq, pos):
         if q is None:
             raise ParseError("division only by scalars and powers of D", pos)
         num, extra = q, extra + 1
-    s = num.constant_value()
-    if not s:
+    if not num:
         raise ParseError("division by zero", pos)
-    # x = s * D^extra / D^dpow  =>  1/x = (1/s) * D^dpow / D^extra
-    coeff = Coefficient(d_poly(nq) ** c.dpow * (GaussRat(1) / s), extra)
+    # x = s * D^extra / D^dpow  =>  1/x = (1/s) * D^dpow / D^extra, where
+    # 1/s = 1/((a + i*b)/den) = den*(a - i*b)/(a^2 + b^2)
+    (a, b), = num.terms.values()
+    n = a * a + b * b
+    inverse = Poly.constant(nq, Fraction(num.den * a, n), Fraction(-num.den * b, n))
+    coeff = Coefficient(d_poly(nq) ** c.dpow * inverse, extra)
     return OperatorExpr.from_coefficient(nq, coeff)
 
 

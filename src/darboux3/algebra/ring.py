@@ -16,8 +16,9 @@ never divides at all.
 
 Variable layout inside exponent tuples: q_1..q_N first, then lambda, omega,
 hbar.  All arithmetic is exact: a ``Poly`` holds Gaussian-integer numerators
-over one positive integer denominator, and ``GaussRat`` (exact ``Fraction``
-parts) is the scalar type of constructors and printing.
+over one positive integer denominator, the only exact scalar type.  Scalar
+operands are ``int`` and ``Fraction``; i, or any Gaussian rational, enters as a
+constant ``Poly`` built from its real and imaginary parts.
 """
 
 from __future__ import annotations
@@ -26,101 +27,6 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 from operator import add
-
-
-class GaussRat:
-    """Gaussian rational a + b*i with exact Fraction parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other):
-        other = _as_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __neg__(self):
-        return GaussRat(-self.re, -self.im)
-
-    def __add__(self, other):
-        other = _as_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussRat(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussRat(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return _as_gauss(other).__sub__(self)
-
-    def __mul__(self, other):
-        other = _as_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussRat(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
-
-    def __rtruediv__(self, other):
-        return _as_gauss(other).__truediv__(self)
-
-    def conjugate(self):
-        return GaussRat(self.re, -self.im)
-
-    def __repr__(self):
-        return f"GaussRat({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}*i" if self.im != 1 else "i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
-        imtxt = "i" if mag == 1 else f"{mag}*i"
-        return f"({self.re}{sign}{imtxt})"
-
-
-def _as_gauss(x):
-    if isinstance(x, GaussRat):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussRat(x)
-    return NotImplemented
-
-
-I_UNIT = GaussRat(0, 1)
 
 
 class Poly:
@@ -148,12 +54,19 @@ class Poly:
         return Poly(nq)
 
     @staticmethod
-    def constant(nq, c):
-        return Poly.monomial(nq, (0,) * (nq + 3), c)
+    def constant(nq, re, im=0):
+        """The constant re + i*im, for int or Fraction parts."""
+        return Poly.monomial(nq, (0,) * (nq + 3), re, im)
 
     @staticmethod
-    def monomial(nq, exps, c=1):
-        re, im, den = _gauss_parts(c)
+    def monomial(nq, exps, re=1, im=0):
+        """(re + i*im) * monomial, for int or Fraction parts."""
+        if type(re) is int and type(im) is int:
+            den = 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            den = lcm(re.denominator, im.denominator)
+            re, im = re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
         if not (re or im):
             return Poly(nq)
         return _reduced(nq, {tuple(exps): (re, im)}, den)
@@ -188,12 +101,6 @@ class Poly:
         zero_exp = (0,) * (self.nq + 3)
         return len(self.terms) == 1 and zero_exp in self.terms
 
-    def constant_value(self):
-        if not self.terms:
-            return GaussRat(0)
-        re, im = self.terms[(0,) * (self.nq + 3)]
-        return GaussRat(Fraction(re, self.den), Fraction(im, self.den))
-
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
@@ -211,7 +118,7 @@ class Poly:
         return Poly(self.nq, {e: (-a, -b) for e, (a, b) in self.terms.items()}, self.den)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
+        if isinstance(other, (int, Fraction)):
             other = Poly.constant(self.nq, other)
         if not other.terms:
             return self
@@ -238,17 +145,17 @@ class Poly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
+        if isinstance(other, (int, Fraction)):
             other = Poly.constant(self.nq, other)
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            c, d, den = _gauss_parts(other)
-            if not (c or d):
+        if isinstance(other, (int, Fraction)):
+            if not other:
                 return Poly(self.nq)
-            terms = {e: (a * c - b * d, a * d + b * c) for e, (a, b) in self.terms.items()}
-            return _reduced(self.nq, terms, self.den * den)
+            c = other.numerator
+            terms = {e: (a * c, b * c) for e, (a, b) in self.terms.items()}
+            return _reduced(self.nq, terms, self.den * other.denominator)
         out = {}
         get = out.get
         for e1, (a, b) in self.terms.items():
@@ -303,7 +210,7 @@ class Poly:
 
     def eval(self, values):
         """Value at ``values``, nq+3 numbers: complex for floats; for ints and
-        Fractions exact, a Fraction when real and a GaussRat otherwise."""
+        Fractions an exact Fraction, and ValueError when it is not real."""
         exact = all(isinstance(x, (int, Fraction)) for x in values)
         s, top = 1, 0
         if exact:  # integers n = s*x, and a term of degree d times s^(top - d)
@@ -320,8 +227,9 @@ class Poly:
             im += b * m
         if not exact:
             return complex(re, im) / self.den
-        den = self.den * s**top
-        return GaussRat(Fraction(re, den), Fraction(im, den)) if im else Fraction(re, den)
+        if im:
+            raise ValueError("exact value is not real")
+        return Fraction(re, self.den * s**top)
 
     # -- printing ------------------------------------------------------------
 
@@ -329,11 +237,10 @@ class Poly:
         if not self.terms:
             return "0"
         names = [f"q{i+1}" for i in range(self.nq)] + ["lambda", "omega", "hbar"]
-        den = self.den
         parts = []
         for e, (a, b) in sorted(self.terms.items(), reverse=True):
             factors = [f"{n}^{k}" if k > 1 else n for n, k in zip(names, e) if k]
-            coef = str(GaussRat(Fraction(a, den), Fraction(b, den)))
+            coef = _format_scalar(a, b, self.den)
             if factors and coef == "1":
                 parts.append("*".join(factors))
             elif factors and coef == "-1":
@@ -346,14 +253,16 @@ class Poly:
     __repr__ = __str__
 
 
-def _gauss_parts(x):
-    """Integers (re, im, den) with x = (re + i*im)/den and den > 0."""
-    if type(x) is int:
-        return x, 0, 1
-    x = x if isinstance(x, GaussRat) else GaussRat(x)
-    re, im = x.re, x.im
-    den = lcm(re.denominator, im.denominator)
-    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
+def _format_scalar(a, b, den):
+    """(a + i*b)/den as printed: "3/2", "i", "-1*i", "2/3*i", "(1/2-3/4*i)"."""
+    re, im = Fraction(a, den), Fraction(b, den)
+    if not im:
+        return str(re)
+    if not re:
+        return f"{im}*i" if im != 1 else "i"
+    sign = "+" if im > 0 else "-"
+    mag = abs(im)
+    return f"({re}{sign}{'i' if mag == 1 else f'{mag}*i'})"
 
 
 def _reduced(nq, terms, den):

@@ -22,7 +22,7 @@ from .builders import (
     potential_u2,
     sl2_generators,
 )
-from .ring import I_UNIT, Coefficient, GaussRat, Poly
+from .ring import Coefficient, Poly
 
 # commutators arising from degree-2 observables stay within these bounds
 # (the D-power in canonical form); anything larger signals a bug upstream
@@ -153,7 +153,7 @@ def verify_theorem(flavor, nq, parts=ALL_PARTS, fradkin=None):
 
     if "sl2" in parts:
         jp, jm, j3 = sl2_generators(nq)
-        ih = OperatorExpr.symbol(nq, "hbar").scale(I_UNIT)
+        ih = OperatorExpr.symbol(nq, "hbar").scale(Coefficient(Poly.constant(nq, 0, 1)))
         report.checks.append(
             _residual_check("[J3, J+]", "2i*hbar*J+", j3.commutator(jp) - (ih * jp) * 2)
         )
@@ -223,7 +223,7 @@ def similarity_checks(nq):
 
 
 def _conformal_check(nq):
-    r = curvature_coefficient(nq) * GaussRat(Fraction(nq - 2, 8 * (nq - 1)))
+    r = curvature_coefficient(nq) * Fraction(nq - 2, 8 * (nq - 1))
     hbar_sq = Coefficient(Poly.variable(nq, Poly.idx_hbar(nq), 2))
     rhs = OperatorExpr.from_coefficient(nq, r).scale(hbar_sq)
     return _residual_check("U2", "hbar^2 (N-2) R / (8 (N-1))", potential_u2(nq) - rhs)

@@ -1,8 +1,9 @@
 """Command-line interface: verify / spectrum / classical / figures.
 
 Exit codes are the single source of pass/fail truth: 0 on success, 1 when a
-verification or tolerance fails or an output file cannot be written, 2 on bad
-flags (argparse's own convention).
+verification or tolerance fails, an output file cannot be written or the
+floating-point arithmetic breaks down (say, --omega 1e-300), 2 on bad flags
+(argparse's own convention).
 Reports go to --out when given, otherwise to stdout; identical flags and seed
 reproduce byte-identical output under --no-timestamp.
 """
@@ -341,7 +342,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb, perm
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from darboux3.algebra import ring, verify
 from darboux3.algebra import (
     Coefficient,
-    GaussRat,
     OperatorExpr,
     ParseError,
     Poly,
@@ -20,18 +20,6 @@ from darboux3.algebra import (
     verify_theorem,
     weighted_adjoint,
 )
-
-
-def test_gauss_rational_arithmetic():
-    a = GaussRat(Fraction(1, 2), 1)
-    b = GaussRat(0, -2)
-    assert a + b == GaussRat(Fraction(1, 2), -1)
-    assert a * b == GaussRat(2, -1)  # (1/2 + i)(-2i) = -i + 2
-    assert (a / a) == GaussRat(1)
-    assert a.conjugate() == GaussRat(Fraction(1, 2), -1)
-    assert not GaussRat(0, 0)
-    with pytest.raises(ZeroDivisionError):
-        a / GaussRat(0)
 
 
 def test_divide_by_d_exact_and_refused():
@@ -47,22 +35,26 @@ def test_divide_by_d_exact_and_refused():
 
 # -- divide_by_d against a plain trial-division reference --------------------
 #
-# Polynomials are built from {exponent tuple: GaussRat} dicts through the
-# public constructors; the reference divides those dicts directly, with
-# D = 1 + lambda*S, S = sum q_i^2: b_0 = c_0, b_k = c_k - b_(k-1)*S, and D
-# divides iff c_kmax - b_(kmax-1)*S is zero.
+# Polynomials are built from {exponent tuple: (re, im)} dicts of Fraction
+# pairs through the public constructors; the reference divides those dicts
+# directly, with D = 1 + lambda*S, S = sum q_i^2: b_0 = c_0,
+# b_k = c_k - b_(k-1)*S, and D divides iff c_kmax - b_(kmax-1)*S is zero.
 
 
 def _poly_of(nq, terms):
     out = Poly.zero(nq)
     for e, c in terms.items():
-        out = out + Poly.monomial(nq, e, c)
+        out = out + Poly.monomial(nq, e, *c)
     return out
 
 
+_ZERO, _ONE = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+
+
 def _dict_add(out, e, c):
-    s = out.get(e, GaussRat(0)) + c
-    if s:
+    old = out.get(e, _ZERO)
+    s = (old[0] + c[0], old[1] + c[1])
+    if s != _ZERO:
         out[e] = s
     else:
         out.pop(e, None)
@@ -70,18 +62,19 @@ def _dict_add(out, e, c):
 
 def _dict_mul(a, b):
     out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            _dict_add(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+    for e1, (a1, b1) in a.items():
+        for e2, (a2, b2) in b.items():
+            _dict_add(out, tuple(x + y for x, y in zip(e1, e2)),
+                      (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2))
     return out
 
 
 def _d_dict(nq):
-    d = {(0,) * (nq + 3): GaussRat(1)}
+    d = {(0,) * (nq + 3): _ONE}
     for i in range(nq):
         e = [0] * (nq + 3)
         e[i], e[nq] = 2, 1
-        d[tuple(e)] = GaussRat(1)
+        d[tuple(e)] = _ONE
     return d
 
 
@@ -98,12 +91,12 @@ def _reference_divide_by_d(nq, terms):
     for i in range(nq):
         e = [0] * (nq + 3)
         e[i] = 2
-        s_terms[tuple(e)] = GaussRat(1)
+        s_terms[tuple(e)] = _ONE
     b = [slices[0]]
     for k in range(1, kmax + 1):
         nxt = dict(slices[k])
         for e, c in _dict_mul(b[k - 1], s_terms).items():
-            _dict_add(nxt, e, -c)
+            _dict_add(nxt, e, (-c[0], -c[1]))
         b.append(nxt)
     if b.pop():
         return None
@@ -120,17 +113,16 @@ def _check_against_reference(nq, terms):
     return want
 
 
-_scalars = st.builds(
-    GaussRat,
+_scalars = st.tuples(
     st.fractions(min_value=-6, max_value=6, max_denominator=6),
     st.sampled_from([0, 0, 1, -2, Fraction(1, 3)]),
-)
+).map(lambda c: (Fraction(c[0]), Fraction(c[1])))
 
 
 @st.composite
 def _poly_terms(draw, nq, max_terms=5):
     exps = st.tuples(*[st.integers(0, 3)] * (nq + 3))
-    return draw(st.dictionaries(exps, _scalars.filter(bool), max_size=max_terms))
+    return draw(st.dictionaries(exps, _scalars.filter(lambda c: c != _ZERO), max_size=max_terms))
 
 
 _PROPERTY = settings(max_examples=60, deadline=None,
@@ -167,8 +159,8 @@ def test_divide_by_d_vanishing_non_multiples_match_reference(data, nq, slot):
     # a multiple of D, is divisible by D only when r is; a test of the value
     # at one point of D = 0 cannot decide these
     idx = (0, nq + 1, nq + 2)[slot]
-    x = {tuple(int(j == idx) for j in range(nq + 3)): GaussRat(1),
-         (0,) * (nq + 3): GaussRat(-_D_ZERO_X0[nq][slot])}
+    x = {tuple(int(j == idx) for j in range(nq + 3)): _ONE,
+         (0,) * (nq + 3): (Fraction(-_D_ZERO_X0[nq][slot]), Fraction(0))}
     r = data.draw(_poly_terms(nq, max_terms=3))
     m = data.draw(_poly_terms(nq, max_terms=3))
     terms = _dict_mul(r, x)
@@ -184,7 +176,7 @@ def test_cached_d_powers_unchanged_by_verification():
     verify_theorem("tlb", nq)
     assert [(dict(p.terms), p.den) for p in cached] == before
     assert cached[1] is d_poly(nq)
-    expected = {(0,) * (nq + 3): GaussRat(1)}
+    expected = {(0,) * (nq + 3): _ONE}
     for k, p in enumerate(cached):
         assert p == _poly_of(nq, expected) and ring._d_power(nq, k) is p
         expected = _dict_mul(expected, _d_dict(nq))
@@ -288,6 +280,9 @@ def test_parse_division_by_d_powers_and_scalars():
     assert parse("(3/4)*D/D", 2) == parse("3/4", 2)
     assert parse("1/(2*D^2)", 2) == parse("(1/2) * D^-2", 2)
     assert parse("D^(-2)*D^2", 2) == OperatorExpr.identity(2)
+    # a Gaussian-rational divisor: 1/((a + i*b)/den) = den*(a - i*b)/(a^2 + b^2)
+    assert parse("(2 - 3*i)/((2 + 3*i)/5)", 2) * parse("2 + 3*i", 2) == parse("5*(2 - 3*i)", 2)
+    assert parse("1/(i*D)", 2) == parse("-i*D^-1", 2)
 
 
 def _random_expression(rng, depth=0):
@@ -363,3 +358,66 @@ def test_substitute_lambda_zero():
 def test_printing_roundtrip_is_stable():
     x = parse("(1/(2*D))*p1^2 - (i*hbar*lambda*q1/(D^2))*p1", 2)
     assert parse(str(x), 2) == x
+
+
+# Golden printed forms.  They pin the coefficient format, quirks included:
+# a bare i prints as (i), -i as -1*i, and a complex part as (1/2-3/4*i).
+PRINTED_FORMS = (
+    ('(1/2 - (3/4)*i)*q1 + i*p1 - (2/3)*i*hbar',
+     '(i)*p1 + ((1/2-3/4*i)*q1 - 2/3*i*hbar)'),
+    ('-i*q1*p2/D^3 + (5/7)*lambda',
+     '(-1*i*q1)/D^3*p2 + (5/7*q1^8*lambda^5 + 20/7*q1^6*q2^2*lambda^5 + '
+     '20/7*q1^6*lambda^4 + 30/7*q1^4*q2^4*lambda^5 + 60/7*q1^4*q2^2*lambda^4 + '
+     '30/7*q1^4*lambda^3 + 20/7*q1^2*q2^6*lambda^5 + 60/7*q1^2*q2^4*lambda^4 + '
+     '60/7*q1^2*q2^2*lambda^3 + 20/7*q1^2*lambda^2 + 6*q1*q2*lambda*hbar + '
+     '5/7*q2^8*lambda^5 + 20/7*q2^6*lambda^4 + 30/7*q2^4*lambda^3 + '
+     '20/7*q2^2*lambda^2 + 5/7*lambda)/D^4'),
+    ('(2-i)^3*p1^5*q1/(3*D)',
+     '((2/3-11/3*i)*q1)/D*p1^5 + ((55/3+10/3*i)*q1^2*lambda*hbar + '
+     '(-55/3-10/3*i)*q2^2*lambda*hbar + (-55/3-10/3*i)*hbar)/D^2*p1^4 + '
+     '((-40/3+220/3*i)*q1^3*lambda^2*hbar^2 + (40-220*i)*q1*q2^2*lambda^2*hbar^2 + '
+     '(40-220*i)*q1*lambda*hbar^2)/D^3*p1^3 + ((-220-40*i)*q1^4*lambda^3*hbar^3 + '
+     '(1320+240*i)*q1^2*q2^2*lambda^3*hbar^3 + (1320+240*i)*q1^2*lambda^2*hbar^3 + '
+     '(-220-40*i)*q2^4*lambda^3*hbar^3 + (-440-80*i)*q2^2*lambda^2*hbar^3 + '
+     '(-220-40*i)*lambda*hbar^3)/D^4*p1^2 + ((80-440*i)*q1^5*lambda^4*hbar^4 + '
+     '(-800+4400*i)*q1^3*q2^2*lambda^4*hbar^4 + '
+     '(-800+4400*i)*q1^3*lambda^3*hbar^4 + (400-2200*i)*q1*q2^4*lambda^4*hbar^4 + '
+     '(800-4400*i)*q1*q2^2*lambda^3*hbar^4 + '
+     '(400-2200*i)*q1*lambda^2*hbar^4)/D^5*p1 + ((440+80*i)*q1^6*lambda^5*hbar^5 + '
+     '(-6600-1200*i)*q1^4*q2^2*lambda^5*hbar^5 + '
+     '(-6600-1200*i)*q1^4*lambda^4*hbar^5 + '
+     '(6600+1200*i)*q1^2*q2^4*lambda^5*hbar^5 + '
+     '(13200+2400*i)*q1^2*q2^2*lambda^4*hbar^5 + '
+     '(6600+1200*i)*q1^2*lambda^3*hbar^5 + (-440-80*i)*q2^6*lambda^5*hbar^5 + '
+     '(-1320-240*i)*q2^4*lambda^4*hbar^5 + (-1320-240*i)*q2^2*lambda^3*hbar^5 + '
+     '(-440-80*i)*lambda^2*hbar^5)/D^6'),
+)
+
+
+@pytest.mark.parametrize("text, printed", PRINTED_FORMS,
+                         ids=("gaussian_parts", "minus_i_over_d3", "cube_of_2_minus_i"))
+def test_printed_forms_are_golden(text, printed):
+    x = parse(text, 2)
+    assert str(x) == printed
+    assert parse(printed, 2) == x
+
+
+def test_push_through_constant_table():
+    # p1^5 q1^5 = sum_g C(5,g) 5!/(5-g)! (-i*hbar)^g q1^(5-g) p1^(5-g); the
+    # right side takes its powers of -i*hbar from Poly products, and g = 0..5
+    # covers every residue of g mod 4
+    rhs = OperatorExpr.zero(2)
+    for g in range(6):
+        rhs = rhs + parse(f"{comb(5, g) * perm(5, g)}*(-i*hbar)^{g}*q1^{5 - g}*p1^{5 - g}", 2)
+    assert parse("p1^5*q1^5", 2) == rhs
+
+
+def test_exact_eval_is_real_or_refused():
+    point = (Fraction(1, 2), 3, Fraction(-1, 3), 2, 5)  # q1, q2, lambda, omega, hbar
+    assert parse("i*i*q1*hbar", 2).terms[(0, 0)].num.eval(point) == Fraction(-5, 2)
+    d = 1 + Fraction(-1, 3) * (Fraction(1, 4) + 9)
+    assert parse("(3/4)*q1*hbar/D", 2).terms[(0, 0)].eval(point) == Fraction(15, 8) / d
+    imag = parse("(3/4 + 2*i)*q1*hbar", 2).terms[(0, 0)].num
+    with pytest.raises(ValueError, match="not real"):
+        imag.eval(point)
+    assert imag.eval([float(x) for x in point]) == pytest.approx((0.75 + 2j) * 2.5)

@@ -295,6 +295,18 @@ def test_unwritable_output_paths_exit_1(capsys, tmp_path):
         assert err.startswith("error: ") and "Traceback" not in err, argv
 
 
+@pytest.mark.parametrize("argv", (
+    ["spectrum", "--omega", "1e-300"],
+    ["spectrum", "--qmax", "1e-300"],
+    ["spectrum", "--flavor", "all", "--omega", "1e-200"],
+))
+def test_float_breakdown_exits_1(capsys, argv):
+    # valid flags whose grid or tail radius divides by zero in float arithmetic
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def _exit_code(argv):
     """main's return value, or the code of the SystemExit argparse raises."""
     try:
