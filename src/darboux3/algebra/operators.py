@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product as _cartesian
 from math import comb, prod
 
-from .ring import Coefficient, Poly, d_poly
+from .ring import Coefficient, Poly, _key
 
 # powers of -i cycle with period 4, as (re, im) pairs
 _MINUS_I_POW = ((1, 0), (0, -1), (-1, 0), (0, 1))
@@ -67,11 +67,6 @@ class OperatorExpr:
     def symbol(nq, name):
         idx = {"lambda": Poly.idx_lambda(nq), "omega": Poly.idx_omega(nq), "hbar": Poly.idx_hbar(nq)}[name]
         return OperatorExpr.from_coefficient(nq, Coefficient(Poly.variable(nq, idx)))
-
-    @staticmethod
-    def d_factor(nq):
-        """The multiplication operator D = 1 + lambda*q^2."""
-        return OperatorExpr.from_coefficient(nq, Coefficient(d_poly(nq)))
 
     # -- structure -----------------------------------------------------------
 
@@ -267,10 +262,8 @@ def _push_through(alpha, coeff):
             binom = 1
             for ai, gi in zip(alpha, gamma):
                 binom *= comb(ai, gi)
-            e = [0] * (nq + 3)
-            e[ih] = g
             re, im = _MINUS_I_POW[g % 4]
-            c = c * Poly(nq, {tuple(e): (re * binom, im * binom)})
+            c = c * Poly(nq, {_key(nq, ih, g): (re * binom, im * binom)})
         yield tuple(a - g_ for a, g_ in zip(alpha, gamma)), c
 
 

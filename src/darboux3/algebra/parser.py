@@ -12,17 +12,20 @@ Grammar (EBNF, also reproduced in the README):
 
 Indices run from 1 to N.  Division is only defined when the divisor is a
 scalar (a Gaussian-rational constant) or a power of D times a scalar; negative
-exponents are likewise restricted to such invertible atoms.  The result of a
-parse is always normal-ordered because every product is evaluated inside the
-operator algebra; its coefficients are reduced when it is printed or compared.
+exponents are likewise restricted to such invertible atoms.  Atoms without a
+momentum (integers, i, q_k, lambda, omega, hbar, D) are ``Coefficient``s and
+stay in that ring through + - * / and ^; a value becomes an ``OperatorExpr``
+only when it meets a p_k operand, and a momentum-free result is wrapped at the
+end.  So the result is always normal-ordered, every product with a momentum
+on the left being evaluated inside the operator algebra; its coefficients are
+reduced when it is printed or compared.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
-from .ring import Coefficient, Poly, divide_by_d, d_poly
+from .ring import Coefficient, Poly, _d_power, _reduced, d_poly, divide_by_d
 from .operators import OperatorExpr
 
 
@@ -35,31 +38,26 @@ class ParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>lambda|omega|hbar|D|i|q\d+|p\d+)|(?P<op>[-+*/^()−]))"
+    r"(?P<op>[-+*/^()])|(?P<name>lambda|omega|hbar|D|i|q\d+|p\d+)|(?P<int>\d+)"
+    r"|(?P<space>\s+)|(?P<minus>−)|(?P<bad>.)",
+    re.DOTALL,
 )
 
 
 def _tokenize(text):
-    pos = 0
     tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-        if m.group("int"):
-            tokens.append(("int", int(m.group("int")), m.start("int")))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            op = m.group("op")
-            if op == "−":  # unicode minus
-                op = "-"
-            tokens.append(("op", op, m.start("op")))
-        pos = m.end()
-    tokens.append(("end", None, len(text)))
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "op" or kind == "name":
+            append((kind, m[0], m.start()))
+        elif kind == "int":
+            append((kind, int(m[0]), m.start()))
+        elif kind == "minus":  # unicode minus
+            append(("op", "-", m.start()))
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m[0]!r}", m.start())
+    append(("end", None, len(text)))
     return tokens
 
 
@@ -91,6 +89,8 @@ class _Parser:
             if kind == "op" and val in "+-":
                 self.advance()
                 rhs = self.term()
+                if type(out) is not type(rhs):
+                    out, rhs = self.promote(out), self.promote(rhs)
                 out = out + rhs if val == "+" else out - rhs
             else:
                 return out
@@ -99,16 +99,25 @@ class _Parser:
     def term(self):
         out = self.unary()
         while True:
-            kind, val, pos = self.peek()
+            kind, val, _ = self.peek()
             if kind == "op" and val in "*/":
                 self.advance()
+                pos = self.peek()[2]
                 rhs = self.unary()
-                if val == "*":
-                    out = out * rhs
-                else:
-                    out = out * _invert(rhs, self.nq, pos)
+                out = self.multiply(out, rhs if val == "*" else _invert(rhs, self.nq, pos))
             else:
                 return out
+
+    def promote(self, x):
+        """x as an OperatorExpr (a Coefficient becomes a multiplication operator)."""
+        return OperatorExpr.from_coefficient(self.nq, x) if isinstance(x, Coefficient) else x
+
+    def multiply(self, x, y):
+        # a coefficient on the left scales every term; only an operator on
+        # the left needs the push-through product
+        if isinstance(x, Coefficient):
+            return x * y if isinstance(y, Coefficient) else y.scale(x)
+        return x * self.promote(y)
 
     # unary := {+|-} power
     def unary(self):
@@ -124,8 +133,9 @@ class _Parser:
 
     # power := atom [ ^ exponent ]
     def power(self):
+        pos = self.peek()[2]
         out = self.atom()
-        kind, val, pos = self.peek()
+        kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.advance()
             n = self.exponent()
@@ -152,22 +162,22 @@ class _Parser:
 
     def atom(self):
         kind, val, pos = self.advance()
+        nq = self.nq
         if kind == "int":
-            return OperatorExpr.scalar(self.nq, val)
+            return Coefficient(Poly.constant(nq, val))
         if kind == "name":
             if val == "i":
-                i_unit = Coefficient(Poly.constant(self.nq, 0, 1))
-                return OperatorExpr.from_coefficient(self.nq, i_unit)
-            if val in ("lambda", "omega", "hbar"):
-                return OperatorExpr.symbol(self.nq, val)
+                return Coefficient(Poly.constant(nq, 0, 1))
+            if val in _SYMBOLS:
+                return Coefficient(Poly.variable(nq, _SYMBOLS[val](nq)))
             if val == "D":
-                return OperatorExpr.d_factor(self.nq)
+                return Coefficient(d_poly(nq))
             idx = int(val[1:]) - 1
-            if not 0 <= idx < self.nq:
-                raise ParseError(f"index of {val!r} out of range for N={self.nq}", pos)
+            if not 0 <= idx < nq:
+                raise ParseError(f"index of {val!r} out of range for N={nq}", pos)
             if val[0] == "q":
-                return OperatorExpr.position(self.nq, idx)
-            return OperatorExpr.momentum(self.nq, idx)
+                return Coefficient(Poly.variable(nq, idx))
+            return OperatorExpr.momentum(nq, idx)
         if kind == "op" and val == "(":
             out = self.expr()
             self.expect_op(")")
@@ -175,13 +185,18 @@ class _Parser:
         raise ParseError("expected a value", pos)
 
 
+_SYMBOLS = {"lambda": Poly.idx_lambda, "omega": Poly.idx_omega, "hbar": Poly.idx_hbar}
+
+
 def _invert(x, nq, pos):
-    """Inverse of a scalar or (scalar * D-power) operator; rejects the rest."""
-    zero_alpha = (0,) * nq
-    if x.term_count() != 1 or zero_alpha not in x.terms:
-        raise ParseError("division only by scalars and powers of D", pos)
-    c = x.terms[zero_alpha]
-    num, extra = c.num, 0
+    """Inverse Coefficient of a scalar or (scalar * D-power) divisor that
+    starts at ``pos``; rejects the rest."""
+    if isinstance(x, OperatorExpr):
+        zero_alpha = (0,) * nq
+        if x.terms.keys() - {zero_alpha}:
+            raise ParseError("division only by scalars and powers of D", pos)
+        x = x.terms.get(zero_alpha, Coefficient.zero(nq))
+    num, extra = x.num, 0
     while not num.is_constant():
         q = divide_by_d(num)
         if q is None:
@@ -192,21 +207,22 @@ def _invert(x, nq, pos):
     # x = s * D^extra / D^dpow  =>  1/x = (1/s) * D^dpow / D^extra, where
     # 1/s = 1/((a + i*b)/den) = den*(a - i*b)/(a^2 + b^2)
     (a, b), = num.terms.values()
-    n = a * a + b * b
-    inverse = Poly.constant(nq, Fraction(num.den * a, n), Fraction(-num.den * b, n))
-    coeff = Coefficient(d_poly(nq) ** c.dpow * inverse, extra)
-    return OperatorExpr.from_coefficient(nq, coeff)
+    inverse = _reduced(nq, {0: (num.den * a, -num.den * b)}, a * a + b * b)
+    if x.dpow:
+        inverse = inverse * _d_power(nq, x.dpow)
+    return Coefficient(inverse, extra)
 
 
 def parse(text, nq):
     """Parse an operator expression string for dimension ``nq``.
 
-    Returns the normal-ordered OperatorExpr; raises ParseError with
-    the offending position on bad syntax or an illegal division.
+    Returns the normal-ordered OperatorExpr; raises ParseError with the
+    offending position on bad syntax or an illegal division, and
+    OverflowError when an exponent passes ``ring.MAX_EXPONENT``.
     """
     p = _Parser(text, nq)
     out = p.expr()
     kind, _, pos = p.peek()
     if kind != "end":
         raise ParseError("trailing input", pos)
-    return out
+    return p.promote(out)

@@ -14,30 +14,88 @@ multivariate GCD machinery lives here.  The verifier asks only whether a
 result is zero, and num/D^k is zero exactly when num is, so a passing check
 never divides at all.
 
-Variable layout inside exponent tuples: q_1..q_N first, then lambda, omega,
-hbar.  All arithmetic is exact: a ``Poly`` holds Gaussian-integer numerators
-over one positive integer denominator, the only exact scalar type.  Scalar
-operands are ``int`` and ``Fraction``; i, or any Gaussian rational, enters as a
-constant ``Poly`` built from its real and imaginary parts.
+Packed monomials.  The variables are q_1..q_N, lambda, omega, hbar, in that
+order, and a monomial is one int: each of its nq+3 exponents sits in a slot of
+``SLOT_BITS`` = 16 bits, q_1 in the most significant slot and hbar in the least,
+
+    key = sum_k e_k << 16*(nq + 2 - k).
+
+Integer order is therefore the order of the exponent tuples, and the product of
+two monomials is the sum of their keys.  The top bit of every slot is a guard:
+an exponent is at most ``MAX_EXPONENT`` = 2^15 - 1, so adding two keys never
+carries from one slot into the next, and a product that sets a guard bit raises
+``OverflowError`` instead of wrapping.  Only the constructors, printing,
+``eval`` and the per-variable methods (``diff``, ``substitute_zero``,
+``degree_in``) read or write single slots.
+
+All arithmetic is exact: a ``Poly`` holds Gaussian-integer numerators over one
+positive integer denominator, the only exact scalar type.  Scalar operands are
+``int`` and ``Fraction``; i, or any Gaussian rational, enters as a constant
+``Poly`` built from its real and imaginary parts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import gcd, lcm
-from operator import add
+from operator import or_
+
+SLOT_BITS = 16
+MAX_EXPONENT = (1 << (SLOT_BITS - 1)) - 1
+_MASK = (1 << SLOT_BITS) - 1
+
+
+def _shift(nq, idx):
+    """Bit offset of the slot of variable ``idx`` (q_1 highest, hbar at 0)."""
+    return SLOT_BITS * (nq + 2 - idx)
+
+
+def _names(nq):
+    return [f"q{i+1}" for i in range(nq)] + ["lambda", "omega", "hbar"]
+
+
+def _key(nq, idx, power):
+    """Packed key of variable ``idx`` to the ``power``."""
+    if not 0 <= power <= MAX_EXPONENT:
+        raise OverflowError(f"exponent {power} of {_names(nq)[idx]} is outside 0..{MAX_EXPONENT}")
+    return power << _shift(nq, idx)
+
+
+def _pack(nq, exps):
+    """Packed key of the monomial with exponents ``exps``, in variable order."""
+    if len(exps) != nq + 3:
+        raise ValueError(f"{len(exps)} exponents for {nq + 3} variables")
+    return sum(_key(nq, idx, k) for idx, k in enumerate(exps))
+
+
+def _unpack(nq, key):
+    """The exponents of ``key``, in variable order."""
+    return tuple(key >> s & _MASK for s in range(SLOT_BITS * (nq + 2), -1, -SLOT_BITS))
+
+
+@cache
+def _guard(nq):
+    """The top bit of every slot of a key."""
+    return sum(1 << (_shift(nq, idx) + SLOT_BITS - 1) for idx in range(nq + 3))
+
+
+def _check(nq, terms):
+    """Raise OverflowError when a key of ``terms`` has a guard bit set."""
+    bad = reduce(or_, terms, 0) & _guard(nq)
+    if bad:
+        idx = nq + 2 - (bad.bit_length() - 1) // SLOT_BITS
+        raise OverflowError(f"exponent of {_names(nq)[idx]} exceeds {MAX_EXPONENT}")
 
 
 class Poly:
     """Multivariate polynomial over Gaussian rationals, sparse dict of monomials.
 
-    ``nq`` is the spatial dimension; exponent tuples have length nq + 3 with
-    lambda, omega, hbar occupying the last three slots.  ``terms`` maps each
-    exponent tuple to a nonzero Gaussian integer ``(re, im)``; the polynomial
-    is ``sum (re + i*im) * monomial / den``.  ``den`` is positive and its gcd
-    with all the re and im parts is 1, so equal polynomials compare equal
-    field by field.  A Poly is never modified after construction.
+    ``nq`` is the spatial dimension.  ``terms`` maps each packed monomial key
+    (see the module docstring) to a nonzero Gaussian integer ``(re, im)``; the
+    polynomial is ``sum (re + i*im) * monomial / den``.  ``den`` is positive
+    and its gcd with all the re and im parts is 1, so equal polynomials
+    compare equal field by field.  A Poly is never modified after construction.
     """
 
     __slots__ = ("nq", "terms", "den")
@@ -56,26 +114,17 @@ class Poly:
     @staticmethod
     def constant(nq, re, im=0):
         """The constant re + i*im, for int or Fraction parts."""
-        return Poly.monomial(nq, (0,) * (nq + 3), re, im)
+        return _term(nq, 0, re, im)
 
     @staticmethod
     def monomial(nq, exps, re=1, im=0):
-        """(re + i*im) * monomial, for int or Fraction parts."""
-        if type(re) is int and type(im) is int:
-            den = 1
-        else:
-            re, im = Fraction(re), Fraction(im)
-            den = lcm(re.denominator, im.denominator)
-            re, im = re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
-        if not (re or im):
-            return Poly(nq)
-        return _reduced(nq, {tuple(exps): (re, im)}, den)
+        """(re + i*im) * monomial, for int or Fraction parts; ``exps`` holds
+        the nq+3 exponents in variable order."""
+        return _term(nq, _pack(nq, exps), re, im)
 
     @staticmethod
     def variable(nq, idx, power=1):
-        e = [0] * (nq + 3)
-        e[idx] = power
-        return Poly.monomial(nq, e)
+        return Poly(nq, {_key(nq, idx, power): (1, 0)})
 
     # symbolic variable indices
     @staticmethod
@@ -96,10 +145,7 @@ class Poly:
         return not self.terms
 
     def is_constant(self):
-        if not self.terms:
-            return True
-        zero_exp = (0,) * (self.nq + 3)
-        return len(self.terms) == 1 and zero_exp in self.terms
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def __eq__(self, other):
         return (
@@ -156,18 +202,30 @@ class Poly:
             c = other.numerator
             terms = {e: (a * c, b * c) for e, (a, b) in self.terms.items()}
             return _reduced(self.nq, terms, self.den * other.denominator)
-        out = {}
-        get = out.get
-        for e1, (a, b) in self.terms.items():
-            for e2, (c, d) in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                re, im = a * c - b * d, a * d + b * c
-                old = get(e)
-                out[e] = (re, im) if old is None else (re + old[0], im + old[1])
-        # Gaussian integers have no zero divisors: a product term vanishes
-        # only where two products landed on one monomial
-        if len(out) < len(self.terms) * len(other.terms):
-            out = {e: v for e, v in out.items() if v[0] or v[1]}
+        small, large = self.terms, other.terms
+        if len(small) > len(large):
+            small, large = large, small
+        if len(small) == 1:
+            # one monomial: e -> e + m is injective, so nothing merges, and
+            # Gaussian integers have no zero divisors, so nothing vanishes
+            (m, (c, d)), = small.items()
+            if d == 0 and c == 1:
+                out = {e + m: v for e, v in large.items()}
+            else:
+                out = {e + m: (a * c - b * d, a * d + b * c) for e, (a, b) in large.items()}
+        else:
+            out = {}
+            get = out.get
+            for e1, (a, b) in small.items():
+                for e2, (c, d) in large.items():
+                    e = e1 + e2
+                    re, im = a * c - b * d, a * d + b * c
+                    old = get(e)
+                    out[e] = (re, im) if old is None else (re + old[0], im + old[1])
+            # a product term vanishes only where two products landed on one monomial
+            if len(out) < len(small) * len(large):
+                out = {e: v for e, v in out.items() if v[0] or v[1]}
+        _check(self.nq, out)
         return _reduced(self.nq, out, self.den * other.den)
 
     __rmul__ = __mul__
@@ -175,25 +233,26 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = Poly.constant(self.nq, 1)
-        base = self
-        while n:
+        if n == 0:
+            return Poly.constant(self.nq, 1)
+        out, base = None, self
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def diff(self, idx):
         """Partial derivative with respect to variable ``idx``."""
+        s = _shift(self.nq, idx)
+        one = 1 << s
         out = {}
         for e, (a, b) in self.terms.items():
-            k = e[idx]
-            if k == 0:
-                continue
-            e2 = list(e)
-            e2[idx] = k - 1
-            out[tuple(e2)] = (a * k, b * k)
+            k = e >> s & _MASK
+            if k:
+                out[e - one] = (a * k, b * k)
         return _reduced(self.nq, out, self.den)
 
     def conjugate(self):
@@ -202,23 +261,26 @@ class Poly:
 
     def substitute_zero(self, idx):
         """Set variable ``idx`` to zero (keep only exponent-0 terms in it)."""
-        out = {e: c for e, c in self.terms.items() if e[idx] == 0}
+        mask = _MASK << _shift(self.nq, idx)
+        out = {e: c for e, c in self.terms.items() if not e & mask}
         return _reduced(self.nq, out, self.den)
 
     def degree_in(self, idx):
-        return max((e[idx] for e in self.terms), default=0)
+        s = _shift(self.nq, idx)
+        return max((e >> s & _MASK for e in self.terms), default=0)
 
     def eval(self, values):
         """Value at ``values``, nq+3 numbers: complex for floats; for ints and
         Fractions an exact Fraction, and ValueError when it is not real."""
         exact = all(isinstance(x, (int, Fraction)) for x in values)
+        terms = {_unpack(self.nq, e): c for e, c in self.terms.items()}
         s, top = 1, 0
         if exact:  # integers n = s*x, and a term of degree d times s^(top - d)
             s = lcm(*(x.denominator for x in values))
             values = [x.numerator * (s // x.denominator) for x in values]
-            top = max(map(sum, self.terms), default=0)
+            top = max(map(sum, terms), default=0)
         re = im = 0
-        for e, (a, b) in self.terms.items():
+        for e, (a, b) in terms.items():
             m = s ** (top - sum(e))
             for k, x in zip(e, values):
                 if k:
@@ -236,10 +298,11 @@ class Poly:
     def __str__(self):
         if not self.terms:
             return "0"
-        names = [f"q{i+1}" for i in range(self.nq)] + ["lambda", "omega", "hbar"]
+        names = _names(self.nq)
         parts = []
         for e, (a, b) in sorted(self.terms.items(), reverse=True):
-            factors = [f"{n}^{k}" if k > 1 else n for n, k in zip(names, e) if k]
+            exps = _unpack(self.nq, e)
+            factors = [f"{n}^{k}" if k > 1 else n for n, k in zip(names, exps) if k]
             coef = _format_scalar(a, b, self.den)
             if factors and coef == "1":
                 parts.append("*".join(factors))
@@ -265,6 +328,19 @@ def _format_scalar(a, b, den):
     return f"({re}{sign}{'i' if mag == 1 else f'{mag}*i'})"
 
 
+def _term(nq, key, re, im):
+    """(re + i*im) * the monomial ``key``, for int or Fraction parts."""
+    if type(re) is int and type(im) is int:
+        den = 1
+    else:
+        re, im = Fraction(re), Fraction(im)
+        den = lcm(re.denominator, im.denominator)
+        re, im = re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
+    if not (re or im):
+        return Poly(nq)
+    return _reduced(nq, {key: (re, im)}, den)
+
+
 def _reduced(nq, terms, den):
     """Poly of ``terms``/``den`` with the common factor of den and all parts divided out."""
     if den == 1:
@@ -286,14 +362,8 @@ def _d_power(nq, k):
         return Poly.constant(nq, 1)
     if k > 1:
         return _d_power(nq, k - 1) * _d_power(nq, 1)
-    il = Poly.idx_lambda(nq)
-    out = Poly.constant(nq, 1)
-    for i in range(nq):
-        e = [0] * (nq + 3)
-        e[i] = 2
-        e[il] = 1
-        out = out + Poly.monomial(nq, e)
-    return out
+    lam = _key(nq, Poly.idx_lambda(nq), 1)
+    return Poly(nq, {0: (1, 0), **{_key(nq, i, 2) + lam: (1, 0) for i in range(nq)}})
 
 
 def d_poly(nq):
@@ -303,12 +373,7 @@ def d_poly(nq):
 
 def q_squared(nq):
     """q1^2 + ... + qN^2 (no lambda factor)."""
-    out = Poly.zero(nq)
-    for i in range(nq):
-        e = [0] * (nq + 3)
-        e[i] = 2
-        out = out + Poly.monomial(nq, e)
-    return out
+    return Poly(nq, {_key(nq, i, 2): (1, 0) for i in range(nq)})
 
 
 def divide_by_d(p):
@@ -328,22 +393,30 @@ def divide_by_d(p):
     if kmax == 0:
         return None
     # split into lambda-degree slices (with the lambda exponent removed)
+    sl = _shift(nq, il)
     slices = [{} for _ in range(kmax + 1)]
     for e, c in p.terms.items():
-        slices[e[il]][e[:il] + (0,) + e[il + 1:]] = c
+        k = e >> sl & _MASK
+        slices[k][e - (k << sl)] = c
+    steps = [_key(nq, i, 2) for i in range(nq)]
+    guard = _guard(nq)
     b_parts = [slices[0]]
     for k in range(1, kmax + 1):
         # c_k - b_{k-1}*S, with S*x shifting one q_i exponent by 2
         rest = dict(slices[k])
         for e, (a, b) in b_parts[k - 1].items():
-            for i in range(nq):
-                e2 = e[:i] + (e[i] + 2,) + e[i + 1:]
+            for step in steps:
+                e2 = e + step
                 old = rest.get(e2)
                 a2, b2 = (-a, -b) if old is None else (old[0] - a, old[1] - b)
                 if a2 or b2:
                     rest[e2] = (a2, b2)
                 else:
                     del rest[e2]
+        # if D divides p, b_k is a lambda-slice of p/D, whose degree in each
+        # q_i is that of p minus 2: a part past the bound proves it does not
+        if reduce(or_, rest, 0) & guard:
+            return None
         b_parts.append(rest)
     # the last part is the remainder c_kmax - b_(kmax-1)*S
     if b_parts.pop():
@@ -352,7 +425,7 @@ def divide_by_d(p):
     out = {}
     for k, part in enumerate(b_parts):
         for e, c in part.items():
-            out[e[:il] + (k,) + e[il + 1:]] = c
+            out[e + (k << sl)] = c
     return _reduced(nq, out, p.den)
 
 
@@ -428,6 +501,9 @@ class Coefficient:
 
     __rmul__ = __mul__
 
+    def __pow__(self, n):
+        return Coefficient(self.num**n, self.dpow * n)
+
     def diff_q(self, i):
         """d/dq_i of num/D^k, staying inside the D-power ring."""
         nq = self.num.nq
@@ -435,10 +511,7 @@ class Coefficient:
         if self.dpow == 0:
             return Coefficient(dn)
         # (dn*D - 2*k*lambda*q_i*num) / D^(k+1)
-        e = [0] * (nq + 3)
-        e[i] = 1
-        e[Poly.idx_lambda(nq)] = 1
-        lam_qi = Poly.monomial(nq, e, 2 * self.dpow)
+        lam_qi = Poly(nq, {_key(nq, i, 1) + _key(nq, Poly.idx_lambda(nq), 1): (2 * self.dpow, 0)})
         return Coefficient(dn * _d_power(nq, 1) - lam_qi * self.num, self.dpow + 1)
 
     def conjugate(self):

@@ -2,7 +2,8 @@
 
 Exit codes are the single source of pass/fail truth: 0 on success, 1 when a
 verification or tolerance fails, an output file cannot be written or the
-floating-point arithmetic breaks down (say, --omega 1e-300), 2 on bad flags
+floating-point arithmetic breaks down (say, --omega 1e-300, reported against
+the most extreme scale flag), 2 on bad flags
 (argparse's own convention).
 Reports go to --out when given, otherwise to stdout; identical flags and seed
 reproduce byte-identical output under --no-timestamp.
@@ -11,6 +12,7 @@ reproduce byte-identical output under --no-timestamp.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from functools import cache, partial
@@ -167,7 +169,25 @@ def cmd_verify(args):
     return 0 if body["all_zero"] else 1
 
 
+def _extreme_scale(args):
+    """(flag, value) of the spectrum scale flag furthest from 1 in orders of
+    magnitude: the one a floating-point breakdown is reported against."""
+    scales = {"--lambda": args.lam, "--omega": args.omega, "--hbar": args.hbar, "--qmax": args.qmax}
+    return max(((f, v) for f, v in scales.items() if v), key=lambda fv: abs(math.log10(fv[1])))
+
+
 def cmd_spectrum(args):
+    # numpy would warn and carry inf or nan into the eigensolver; stop at the
+    # first overflow, division by zero or invalid value instead
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return _spectrum(args)
+    except ArithmeticError as exc:
+        flag, value = _extreme_scale(args)
+        raise ArithmeticError(f"{flag} {value:g} is out of range for floating point ({exc})") from None
+
+
+def _spectrum(args):
     params = ModelParams(dim=args.dim, lam=args.lam, omega=args.omega, hbar=args.hbar)
     k = args.levels
     grid_m = {} if args.grid is None else {"m": args.grid}  # else each route's default

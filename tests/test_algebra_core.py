@@ -285,6 +285,44 @@ def test_parse_division_by_d_powers_and_scalars():
     assert parse("1/(i*D)", 2) == parse("-i*D^-1", 2)
 
 
+@pytest.mark.parametrize("text, pos", [("1/0", 2), ("1/(2-2)", 2), ("0^-1", 0), ("q1/(p1-p1)", 3)])
+def test_division_by_zero_is_reported_at_the_divisor(text, pos):
+    with pytest.raises(ParseError) as exc:
+        parse(text, 2)
+    assert str(exc.value) == f"division by zero (at position {pos})" and exc.value.pos == pos
+
+
+def test_tokens_and_error_positions():
+    assert parse("q1 \u2212 p1", 2) == parse("q1 - p1", 2)  # unicode minus
+    for text, pos, message in (("q1 @ p1", 3, "unexpected character '@'"),
+                               ("2*q1/(q1)", 5, "division only by scalars and powers of D"),
+                               ("q1^-1", 0, "division only by scalars and powers of D"),
+                               ("q1 p1", 3, "trailing input")):
+        with pytest.raises(ParseError) as exc:
+            parse(text, 2)
+        assert str(exc.value) == f"{message} (at position {pos})"
+
+
+def test_packed_exponent_bound():
+    top = ring.MAX_EXPONENT
+    x = parse(f"q2^{top}*hbar^{top}*p1", 2)
+    assert str(x) == f"(q2^{top}*hbar^{top})*p1"
+    # past the bound through a power, a product, a push-through and a D-power
+    for text, name in ((f"q1^{top + 1}", "q1"), (f"q1^{top}*q1", "q1"),
+                       (f"lambda^{top // 2 + 1}*lambda^{top // 2 + 1}", "lambda"),
+                       (f"p1*q2^{top}*q2", "q2"), (f"omega^{top}*(1 + 2*omega)^3", "omega")):
+        with pytest.raises(OverflowError, match=f"exponent of {name} exceeds {top}"):
+            parse(text, 2)
+    with pytest.raises(OverflowError, match="outside"):
+        Poly.variable(2, 0, top + 1)
+    # a quotient at the bound, and a partial quotient past it, which proves
+    # that D does not divide
+    s = Poly.variable(2, 0, top - 2)
+    assert divide_by_d(s * d_poly(2)) == s
+    x = parse(f"(q1^{top - 1} + lambda*q1^{top - 1})/D", 2)
+    assert str(x) == f"(q1^{top - 1}*lambda + q1^{top - 1})/D"
+
+
 def _random_expression(rng, depth=0):
     atoms = ["q1", "q2", "p1", "p2", "lambda", "omega", "hbar", "D", "i", "2", "3"]
     if depth > 2 or rng.random() < 0.35:

@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -305,6 +308,21 @@ def test_float_breakdown_exits_1(capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ("--qmax", "--omega"))
+def test_float_breakdown_names_the_flag_without_warnings(flag):
+    # in a fresh interpreter, because pytest would capture numpy's warnings
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "darboux3", "spectrum", flag, "1e-300", "--no-timestamp"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {flag} 1e-300 ")
+    assert len(proc.stderr.splitlines()) == 1 and "Warning" not in proc.stderr
 
 
 def _exit_code(argv):

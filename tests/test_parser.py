@@ -1,0 +1,139 @@
+"""The parser against plain OperatorExpr arithmetic, and golden printed forms.
+
+``parse`` keeps momentum-free values in the Coefficient ring and builds an
+operator only when a momentum appears.  The differential test draws
+expressions from the README grammar and compares each parse with the same
+expression built term by term with OperatorExpr arithmetic, where every atom
+is an operator and every product goes through normal ordering.
+"""
+
+from fractions import Fraction
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from darboux3.algebra import Coefficient, OperatorExpr, Poly, d_poly, parse
+
+NQ = 2
+
+
+def _op(c):
+    return OperatorExpr.from_coefficient(NQ, c)
+
+
+def _d_inverse(k):
+    return _op(Coefficient(Poly.constant(NQ, 1), k))
+
+
+# (text, value) leaves: every atom of the grammar, and negative D-powers in
+# both exponent spellings
+_LEAVES = [
+    *((str(k), OperatorExpr.scalar(NQ, k)) for k in (0, 1, 2, 3, 7)),
+    ("i", _op(Coefficient(Poly.constant(NQ, 0, 1)))),
+    *((name, OperatorExpr.symbol(NQ, name)) for name in ("lambda", "omega", "hbar")),
+    ("D", _op(Coefficient(d_poly(NQ)))),
+    *((f"q{k + 1}", OperatorExpr.position(NQ, k)) for k in range(NQ)),
+    *((f"p{k + 1}", OperatorExpr.momentum(NQ, k)) for k in range(NQ)),
+    ("D^-1", _d_inverse(1)),
+    ("D^(-2)", _d_inverse(2)),
+]
+
+
+_OPS = {"+": OperatorExpr.__add__, "-": OperatorExpr.__sub__, "*": OperatorExpr.__mul__}
+
+
+def _binary(op, a, b):
+    return f"({a[0]}) {op} ({b[0]})", _OPS[op](a[1], b[1])
+
+
+def _power(a, n):
+    return f"({a[0]})^{n}", a[1] ** n
+
+
+def _over_gaussian(a, re, im):
+    n = re * re + im * im
+    inverse = Poly.constant(NQ, Fraction(re, n), Fraction(-im, n))
+    return f"({a[0]})/({re} + {im}*i)", a[1] * _op(Coefficient(inverse))
+
+
+def _over_d_power(a, k):
+    return f"({a[0]})/D^{k}", a[1] * _d_inverse(k)
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(_binary, st.sampled_from("+-*"), children, children),
+        children.map(lambda a: (f"-({a[0]})", -a[1])),
+        st.builds(_power, children, st.integers(0, 2)),
+        st.builds(_over_gaussian, children, st.integers(1, 5), st.integers(-2, 2)),
+        st.builds(_over_d_power, children, st.integers(1, 2)),
+    )
+
+
+_EXPRESSIONS = st.recursive(st.sampled_from(_LEAVES), _extend, max_leaves=6)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_EXPRESSIONS)
+def test_parse_matches_operator_arithmetic(case):
+    text, value = case
+    assert parse(text, NQ) == value
+    printed = str(value)
+    assert str(parse(printed, NQ)) == printed
+
+
+# The ten shapes of the benchmark's round-trip expressions, holes filled at
+# one fixed seed, with the forms the operator-arithmetic parser printed.
+TEMPLATE_FORMS = (
+    ('3*q2*p1 + p2*q2', 2,
+     '(3*q2)*p1 + (q2)*p2 + (-1*i*hbar)'),
+    ('p3^2*D^-1 - 5*q1^2', 3,
+     '(1)/D*p3^2 + (4*i*q3*lambda*hbar)/D^2*p3 + (-5*q1^8*lambda^3 - '
+     '15*q1^6*q2^2*lambda^3 - 15*q1^6*q3^2*lambda^3 - 15*q1^6*lambda^2 - '
+     '15*q1^4*q2^4*lambda^3 - 30*q1^4*q2^2*q3^2*lambda^3 - '
+     '30*q1^4*q2^2*lambda^2 - 15*q1^4*q3^4*lambda^3 - 30*q1^4*q3^2*lambda^2 - '
+     '15*q1^4*lambda - 5*q1^2*q2^6*lambda^3 - 15*q1^2*q2^4*q3^2*lambda^3 - '
+     '15*q1^2*q2^4*lambda^2 - 15*q1^2*q2^2*q3^4*lambda^3 - '
+     '30*q1^2*q2^2*q3^2*lambda^2 - 15*q1^2*q2^2*lambda - 5*q1^2*q3^6*lambda^3 '
+     '- 15*q1^2*q3^4*lambda^2 - 15*q1^2*q3^2*lambda + 2*q1^2*lambda^2*hbar^2 '
+     '- 5*q1^2 + 2*q2^2*lambda^2*hbar^2 - 6*q3^2*lambda^2*hbar^2 + '
+     '2*lambda*hbar^2)/D^3'),
+    ('((q1 + 3*hbar)*p2 + lambda*D)/9', 2,
+     '(1/9*q1 + 1/3*hbar)*p2 + (1/9*q1^2*lambda^2 + 1/9*q2^2*lambda^2 + '
+     '1/9*lambda)'),
+    ('p1*D^(-2)*(p3 - q2) - i*5', 3,
+     '(1)/D^2*p1*p3 + (-q2)/D^2*p1 + (4*i*q1*lambda*hbar)/D^3*p3 + '
+     '(-5*i*q1^6*lambda^3 - 15*i*q1^4*q2^2*lambda^3 - 15*i*q1^4*q3^2*lambda^3 '
+     '- 15*i*q1^4*lambda^2 - 15*i*q1^2*q2^4*lambda^3 - '
+     '30*i*q1^2*q2^2*q3^2*lambda^3 - 30*i*q1^2*q2^2*lambda^2 - '
+     '15*i*q1^2*q3^4*lambda^3 - 30*i*q1^2*q3^2*lambda^2 - 15*i*q1^2*lambda - '
+     '4*i*q1*q2*lambda*hbar - 5*i*q2^6*lambda^3 - 15*i*q2^4*q3^2*lambda^3 - '
+     '15*i*q2^4*lambda^2 - 15*i*q2^2*q3^4*lambda^3 - 30*i*q2^2*q3^2*lambda^2 '
+     '- 15*i*q2^2*lambda - 5*i*q3^6*lambda^3 - 15*i*q3^4*lambda^2 - '
+     '15*i*q3^2*lambda - 5*i)/D^3'),
+    ('D*(p2 - q2) - 7*p2^2*q1^2', 2,
+     '(-7*q1^2)*p2^2 + (q1^2*lambda + q2^2*lambda + 1)*p2 + (-q1^2*q2*lambda '
+     '- q2^3*lambda - q2)'),
+    ('q3^2*p2/D + 6*omega*p2', 3,
+     '(6*q1^2*lambda*omega + 6*q2^2*lambda*omega + 6*q3^2*lambda*omega + q3^2 '
+     '+ 6*omega)/D*p2 + (2*i*q2*q3^2*lambda*hbar)/D^2'),
+    ('hbar*D^-1*p2^2 + 6*lambda*q1*p2', 2,
+     '(hbar)/D*p2^2 + (6*q1*lambda)*p2'),
+    ('(p2 + q2)^2 - D/3', 3,
+     '(1)*p2^2 + (2*q2)*p2 + (-1/3*q1^2*lambda - 1/3*q2^2*lambda + q2^2 - '
+     '1/3*q3^2*lambda - 1*i*hbar - 1/3)'),
+    ('i*p2*q2*D^-1 + p2*q2/8', 2,
+     '(1/8*q1^2*q2*lambda + 1/8*q2^3*lambda + (1/8+i)*q2)/D*p2 + '
+     '(-1/8*i*q1^4*lambda^2*hbar - 1/4*i*q1^2*q2^2*lambda^2*hbar + '
+     '(1-1/4*i)*q1^2*lambda*hbar - 1/8*i*q2^4*lambda^2*hbar + '
+     '(-1-1/4*i)*q2^2*lambda*hbar + (1-1/8*i)*hbar)/D^2'),
+    ('6*p2^2 - omega^2*q3^2*D^-1', 3,
+     '(6)*p2^2 + (-q3^2*omega^2)/D'),
+)
+
+
+def test_template_forms_are_golden():
+    for text, n, printed in TEMPLATE_FORMS:
+        x = parse(text, n)
+        assert str(x) == printed, text
+        assert parse(printed, n) == x
