@@ -10,6 +10,12 @@ push-through rule
 
 so two operators are equal iff their term maps coincide once every
 coefficient is put in canonical form, which equality does on demand.
+
+The expansion of p^alpha f(q) depends only on alpha and f, and a Coefficient
+is never modified after construction (only ``OperatorExpr.terms`` is, by
+``_put``), so each Coefficient keeps the finished expansion for every alpha
+it has been pushed through in its ``pushed`` table.  A Hamiltonian multiplied
+into every invariant of a verification derives each expansion once.
 """
 
 from __future__ import annotations
@@ -139,7 +145,7 @@ class OperatorExpr:
         out = OperatorExpr(self.nq)
         for alpha, c in self.terms.items():
             for beta, d in other.terms.items():
-                for gamma_alpha, coeff in _push_through(alpha, d):
+                for gamma_alpha, coeff in _pushed(alpha, d):
                     key = tuple(g + b for g, b in zip(gamma_alpha, beta))
                     out._put(key, c * coeff)
         return out
@@ -231,6 +237,18 @@ class OperatorExpr:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+def _pushed(alpha, coeff):
+    """The (new_alpha, coefficient) pairs of p^alpha * coeff(q), derived by
+    ``_push_through`` on the first request and read from coeff's table after."""
+    table = coeff.pushed
+    if table is None:
+        table = coeff.pushed = {}
+    out = table.get(alpha)
+    if out is None:
+        out = table[alpha] = list(_push_through(alpha, coeff))
+    return out
 
 
 def _push_through(alpha, coeff):

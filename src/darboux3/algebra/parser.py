@@ -24,6 +24,7 @@ reduced when it is printed or compared.
 from __future__ import annotations
 
 import re
+from math import comb
 
 from .ring import Coefficient, Poly, _d_power, _reduced, d_poly, divide_by_d
 from .operators import OperatorExpr
@@ -197,6 +198,15 @@ def _invert(x, nq, pos):
             raise ParseError("division only by scalars and powers of D", pos)
         x = x.terms.get(zero_alpha, Coefficient.zero(nq))
     num, extra = x.num, 0
+    if not num.is_constant():
+        # s * D^k has lambda-degree k, constant term s and all comb(k + nq, nq)
+        # monomials of D^k: compare with it before dividing D out k times
+        k = num.degree_in(Poly.idx_lambda(nq))
+        s = num.terms.get(0)
+        if s is not None and len(num.terms) == comb(k + nq, nq):
+            s = _reduced(nq, {0: s}, num.den)
+            if num == s * _d_power(nq, k):
+                num, extra = s, k
     while not num.is_constant():
         q = divide_by_d(num)
         if q is None:

@@ -435,13 +435,20 @@ class Coefficient:
     The arguments are kept as given, so the numerator may still hold factors
     of D.  ``canonical`` divides them out; equality, printing and
     ``OperatorExpr.max_d_power`` read that form, arithmetic never does.
+
+    A Coefficient is never modified after construction: every operation
+    returns a new one, and results may share ``num`` with their operands.
+    ``pushed`` is the one slot written later, by the operator layer: None, or
+    a table of this coefficient's push-through expansions by momentum power
+    (see ``operators._pushed``), which depend only on the immutable value.
     """
 
-    __slots__ = ("num", "dpow")
+    __slots__ = ("num", "dpow", "pushed")
 
     def __init__(self, num, dpow=0):
         self.num = num
         self.dpow = dpow
+        self.pushed = None
 
     @staticmethod
     def zero(nq):

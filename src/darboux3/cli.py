@@ -97,7 +97,7 @@ def build_parser():
 
     v = sub.add_parser("verify", parents=[common],
                        help="symbolic symmetry-algebra verification")
-    v.add_argument("--dim", type=int, choices=(2, 3, 4), default=3)
+    v.add_argument("--dim", type=int, choices=(2, 3, 4, 5), default=3)
     v.add_argument("--flavor", choices=("schrodinger", "tlb", "tpdm"), default="schrodinger")
     v.add_argument(
         "--parts", type=_parts, default=",".join(ALL_PARTS),
@@ -212,7 +212,8 @@ def _spectrum(args):
         }
         report = rp.make_report("spectrum", body, timestamp=not args.no_timestamp)
         rows = [
-            (nr, 2 * nr + args.l, closed[nr], *(per_flavor[fl][nr] for fl in sp.RADIAL_FLAVORS))
+            (nr, 2 * nr + args.l, body["levels_closed_form"][nr],
+             *(per_flavor[fl][nr] for fl in sp.RADIAL_FLAVORS))
             for nr in range(k)
         ]
         csv_text = rp.dump_csv(rows, ("n_r", "n", "E_closed", *sp.RADIAL_FLAVORS))
@@ -306,17 +307,17 @@ def _figure_table():
     potential_lams = (0.0, 0.02, 0.04, 0.06, 0.1)
     energy_lams = (0.0, 0.01, 0.02, 0.04)
     return {
-        1: ("r", np.linspace(0.0, 10.0, 501),
+        1: ("r", np.linspace(0.0, 10.0, 501).tolist(),
             {"R": partial(scalar_curvature, curved)},
             lambda: {"R_at_origin": scalar_curvature(curved, 0.0)}),
-        2: ("r", np.linspace(0.0, 30.0, 601),
+        2: ("r", np.linspace(0.0, 30.0, 601).tolist(),
             {f"U_lambda_{lam}": partial(oscillator_potential, at(lam)) for lam in potential_lams},
             lambda: {"U_infinity": {str(lam): continuum_threshold(at(lam))
                                     for lam in potential_lams}}),
-        3: ("r", np.linspace(0.05, 30.0, 600),
+        3: ("r", np.linspace(0.05, 30.0, 600).tolist(),
             *_deformed_vs_flat("U_eff", classical_effective_potential,
                                classical_effective_minimum, 100.0)),
-        4: ("r", np.linspace(0.5, 30.0, 600),
+        4: ("r", np.linspace(0.5, 30.0, 600).tolist(),
             *_deformed_vs_flat("Ueff_quantum", quantum_effective_potential,
                                quantum_effective_minimum, 10)),
         5: ("n", range(26),
@@ -333,7 +334,7 @@ def cmd_figures(args):
     stem = os.path.join(args.dir, f"figure{args.which}")
     x_name, xs, columns, landmarks = _figure_table()[args.which]
     # point by point, so every cell is the scalar function's own float
-    rows = [(x, *(f(x) for f in columns.values())) for x in xs]
+    rows = [(x, *(float(f(x)) for f in columns.values())) for x in xs]
     rp.dump_csv(rows, (x_name, *columns), stem + "_curve.csv")
     sidecar = rp.make_report("figure", {"figure": args.which, "landmarks": landmarks()},
                              timestamp=not args.no_timestamp)

@@ -16,6 +16,13 @@ import numpy as np
 INVERSE_TOL = 1e-12
 
 
+class FlatteningError(ArithmeticError, RuntimeError):
+    """inverse_flattening did not converge.  That happens when Q is nan or
+    too large for float arithmetic to meet the tolerance, so it is an
+    ArithmeticError, like numpy's floating-point errors, and a RuntimeError
+    for callers that catch a failed iteration."""
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Model parameters: dimension N >= 2, deformation lambda >= 0,
@@ -126,7 +133,7 @@ def inverse_flattening(params, q):
         r_new = np.where((lo < r_new) & (r_new < hi), r_new, 0.5 * (lo + hi))
         r = np.where(active, r_new, r)
     bad = float(q_arr[active][0])
-    raise RuntimeError(f"inverse flattening failed to converge for Q={bad!r}")
+    raise FlatteningError(f"inverse flattening failed to converge for Q={bad!r}")
 
 
 def classical_effective_potential(params, c_n, r):

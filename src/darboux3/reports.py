@@ -53,30 +53,18 @@ def dump_json(report, path=None):
 
 
 def dump_csv(rows, header, path=None):
-    """Write rows (sequences) under a header; returns the text."""
+    """Write rows (sequences of ints, Python floats and strings) under a
+    header; returns the text.  csv writes a float as its repr and the
+    infinities and nan as inf, -inf and nan."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(x) for x in row])
+    writer.writerows(rows)
     text = buf.getvalue()
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)
     return text
-
-
-def _csv_cell(x):
-    # np.float64 subclasses float, but its repr is "np.float64(...)" under
-    # NumPy 2; every float prints as the plain repr of a Python float
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
-        return repr(x)
-    return x
 
 
 def spectrum_csv_rows(levels):

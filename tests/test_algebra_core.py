@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from darboux3.algebra import ring, verify
+from darboux3.algebra import operators, ring, verify
 from darboux3.algebra import (
     Coefficient,
     OperatorExpr,
@@ -358,6 +358,51 @@ def test_jacobi_identity_randomized():
             + c.commutator(a).commutator(b)
         )
         assert jac.is_zero()
+
+
+def _stored(x):
+    """The terms of x as stored, before any canonical form is taken."""
+    return {alpha: (c.num, c.dpow) for alpha, c in x.terms.items()}
+
+
+def test_operator_product_is_associative():
+    rng = random.Random(5)
+    for _ in range(10):
+        a, b, c = (_random_operator(rng) for _ in range(3))
+        assert (a * b) * c == a * (b * c)
+
+
+def test_products_with_warm_tables_match_cold_copies():
+    # the push-through tables of x and y fill during the first products; a
+    # freshly parsed copy starts with empty tables and must give the same
+    # stored terms, not only the same canonical form
+    rng = random.Random(31)
+    for _ in range(8):
+        texts = [_random_expression(rng) for _ in range(2)]
+        x, y = (parse(t, 2) for t in texts)
+        warm = [x * y, y * x, x * x, x.commutator(y)]
+        x, y = (parse(t, 2) for t in texts)
+        cold = [x * y, y * x, x * x, x.commutator(y)]
+        assert [_stored(w) for w in warm] == [_stored(c) for c in cold]
+
+
+def test_push_through_tables_match_fresh_expansions(monkeypatch):
+    # the Hamiltonian verify_theorem builds is pushed through every invariant;
+    # afterwards its coefficients are as built and every table entry is the
+    # expansion _push_through derives anew
+    built, original = [], verify.build_hamiltonian
+    monkeypatch.setattr(verify, "build_hamiltonian",
+                        lambda flavor, nq: built.append(original(flavor, nq)) or built[-1])
+    verify_theorem("tlb", 3)
+    h, = built
+    assert _stored(h) == _stored(original("tlb", 3))
+    entries = 0
+    for c in h.terms.values():
+        for alpha, pairs in (c.pushed or {}).items():
+            fresh = operators._push_through(alpha, Coefficient(c.num, c.dpow))
+            assert [(a, d.num, d.dpow) for a, d in pairs] == [(a, d.num, d.dpow) for a, d in fresh]
+            entries += 1
+    assert entries >= len(h.terms)
 
 
 def test_conjugation_is_homomorphism_and_invertible():

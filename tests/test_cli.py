@@ -56,6 +56,7 @@ def test_verify_corrupt_fails(capsys):
 
 BAD_FLAGS = (
     ["verify", "--dim", "7"],
+    ["verify", "--dim", "6"],
     ["nonsense"],
     ["verify", "--parts", "foo"],
     ["verify", "--parts", ","],
@@ -74,6 +75,13 @@ BAD_FLAGS = (
     ["verify", "--dim", "2", "--parts", "sl2", "--corrupt", "I12"],
     ["verify", "--dim", "2", "--parts", "ii", "--corrupt", "I12"],
 )
+
+
+def test_verify_dim_5(capsys):
+    code, out = run_cli(capsys, "verify", "--dim", "5", "--parts", "sl2", "--no-timestamp")
+    rep = json.loads(out)
+    assert code == 0 and rep["N"] == 5 and rep["all_zero"] is True
+    assert [c["lhs"] for c in rep["checks"]] == ["[J3, J+]", "[J3, J-]", "[J-, J+]"]
 
 
 def test_verify_bad_flags_exit_2(capsys):
@@ -310,18 +318,24 @@ def test_float_breakdown_exits_1(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag", ("--qmax", "--omega"))
-def test_float_breakdown_names_the_flag_without_warnings(flag):
+@pytest.mark.parametrize("flag, value, shown", (
+    pytest.param("--qmax", "1e-300", "1e-300", id="--qmax"),
+    pytest.param("--omega", "1e-300", "1e-300", id="--omega"),
+    # these two break down inside the inverse flattening iteration
+    pytest.param("--hbar", "1e300", "1e+300", id="--hbar-1e300"),
+    pytest.param("--omega", "1e-150", "1e-150", id="--omega-1e-150"),
+))
+def test_float_breakdown_names_the_flag_without_warnings(flag, value, shown):
     # in a fresh interpreter, because pytest would capture numpy's warnings
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     env.pop("PYTHONWARNINGS", None)
     proc = subprocess.run(
-        [sys.executable, "-m", "darboux3", "spectrum", flag, "1e-300", "--no-timestamp"],
+        [sys.executable, "-m", "darboux3", "spectrum", flag, value, "--no-timestamp"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 1
-    assert proc.stderr.startswith(f"error: {flag} 1e-300 ")
+    assert proc.stderr.startswith(f"error: {flag} {shown} is out of range for floating point (")
     assert len(proc.stderr.splitlines()) == 1 and "Warning" not in proc.stderr
 
 
