@@ -13,8 +13,9 @@ coefficient is put in canonical form, which equality does on demand.
 
 The expansion of p^alpha f(q) depends only on alpha and f, and a Coefficient
 is never modified after construction (only ``OperatorExpr.terms`` is, by
-``_put``), so each Coefficient keeps the finished expansion for every alpha
-it has been pushed through in its ``pushed`` table.  A Hamiltonian multiplied
+``_put``), so each Coefficient keeps the finished expansion for every nonzero
+alpha it has been pushed through in its ``pushed`` table, less the leading
+gamma = 0 term, which is the coefficient itself.  A Hamiltonian multiplied
 into every invariant of a verification derives each expansion once.
 """
 
@@ -144,10 +145,13 @@ class OperatorExpr:
             return self.scale(other)
         out = OperatorExpr(self.nq)
         for alpha, c in self.terms.items():
+            pushes = any(alpha)
             for beta, d in other.terms.items():
-                for gamma_alpha, coeff in _pushed(alpha, d):
-                    key = tuple(g + b for g, b in zip(gamma_alpha, beta))
-                    out._put(key, c * coeff)
+                out._put(tuple(a + b for a, b in zip(alpha, beta)), c * d)
+                if pushes:
+                    for gamma_alpha, coeff in _pushed(alpha, d):
+                        key = tuple(g + b for g, b in zip(gamma_alpha, beta))
+                        out._put(key, c * coeff)
         return out
 
     def __rmul__(self, other):
@@ -240,14 +244,19 @@ class OperatorExpr:
 
 
 def _pushed(alpha, coeff):
-    """The (new_alpha, coefficient) pairs of p^alpha * coeff(q), derived by
-    ``_push_through`` on the first request and read from coeff's table after."""
+    """The (new_alpha, coefficient) pairs of p^alpha * coeff(q) after the
+    leading (alpha, coeff) one, for a nonzero coeff and alpha; derived by
+    ``_push_through`` on the first request and read from coeff's table after.
+
+    The table leaves the leading pair out, so it never refers back to coeff
+    and a coefficient with a table is still freed by reference counting.
+    """
     table = coeff.pushed
     if table is None:
         table = coeff.pushed = {}
     out = table.get(alpha)
     if out is None:
-        out = table[alpha] = list(_push_through(alpha, coeff))
+        out = table[alpha] = list(_push_through(alpha, coeff))[1:]
     return out
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from math import comb
 
-from .ring import Coefficient, Poly, _d_power, _reduced, d_poly, divide_by_d
+from .ring import Coefficient, Poly, _d_power, _reduced, d_poly
 from .operators import OperatorExpr
 
 
@@ -200,18 +200,16 @@ def _invert(x, nq, pos):
     num, extra = x.num, 0
     if not num.is_constant():
         # s * D^k has lambda-degree k, constant term s and all comb(k + nq, nq)
-        # monomials of D^k: compare with it before dividing D out k times
+        # monomials of D^k; every Poly is in normal form, so it equals
+        # s * _d_power(nq, k) field by field, and nothing else divides out
         k = num.degree_in(Poly.idx_lambda(nq))
         s = num.terms.get(0)
         if s is not None and len(num.terms) == comb(k + nq, nq):
             s = _reduced(nq, {0: s}, num.den)
             if num == s * _d_power(nq, k):
                 num, extra = s, k
-    while not num.is_constant():
-        q = divide_by_d(num)
-        if q is None:
+        if not num.is_constant():
             raise ParseError("division only by scalars and powers of D", pos)
-        num, extra = q, extra + 1
     if not num:
         raise ParseError("division by zero", pos)
     # x = s * D^extra / D^dpow  =>  1/x = (1/s) * D^dpow / D^extra, where

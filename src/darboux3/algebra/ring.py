@@ -440,7 +440,8 @@ class Coefficient:
     returns a new one, and results may share ``num`` with their operands.
     ``pushed`` is the one slot written later, by the operator layer: None, or
     a table of this coefficient's push-through expansions by momentum power
-    (see ``operators._pushed``), which depend only on the immutable value.
+    (see ``operators._pushed``), which depend only on the immutable value and
+    hold only derivatives, never the coefficient itself.
     """
 
     __slots__ = ("num", "dpow", "pushed")

@@ -389,7 +389,7 @@ def test_products_with_warm_tables_match_cold_copies():
 def test_push_through_tables_match_fresh_expansions(monkeypatch):
     # the Hamiltonian verify_theorem builds is pushed through every invariant;
     # afterwards its coefficients are as built and every table entry is the
-    # expansion _push_through derives anew
+    # expansion _push_through derives anew, less the leading (alpha, c) pair
     built, original = [], verify.build_hamiltonian
     monkeypatch.setattr(verify, "build_hamiltonian",
                         lambda flavor, nq: built.append(original(flavor, nq)) or built[-1])
@@ -399,8 +399,11 @@ def test_push_through_tables_match_fresh_expansions(monkeypatch):
     entries = 0
     for c in h.terms.values():
         for alpha, pairs in (c.pushed or {}).items():
-            fresh = operators._push_through(alpha, Coefficient(c.num, c.dpow))
-            assert [(a, d.num, d.dpow) for a, d in pairs] == [(a, d.num, d.dpow) for a, d in fresh]
+            assert any(alpha)
+            fresh = list(operators._push_through(alpha, Coefficient(c.num, c.dpow)))
+            assert fresh[0][0] == alpha and fresh[0][1].num is c.num
+            assert [(a, d.num, d.dpow) for a, d in pairs] == [(a, d.num, d.dpow) for a, d in fresh[1:]]
+            assert all(d is not c for _, d in pairs)
             entries += 1
     assert entries >= len(h.terms)
 
