@@ -8,6 +8,7 @@ with an analytic-derivative residual.
 
 import numpy as np
 
+from darboux3.algebra import FLAVORS
 from darboux3.model import ModelParams, continuum_threshold
 from darboux3 import spectra as sp
 
@@ -28,10 +29,10 @@ print("=" * 70)
 print("2. Isospectrality of three independent discretizations (l=1)")
 print("=" * 70)
 iso = sp.isospectrality_check(params, l=1, k=6)
-print(" n_r  " + "".join(f"{fl:<20s}" for fl in sp.RADIAL_FLAVORS))
+print(" n_r  " + "".join(f"{fl:<20s}" for fl in FLAVORS))
 for n_r in range(6):
     row = f"  {n_r}   "
-    for fl in sp.RADIAL_FLAVORS:
+    for fl in FLAVORS:
         row += f"{iso['levels'][fl][n_r]:<20.12f}"
     print(row)
 print(f"max pairwise relative deviation: {iso['max_pairwise_rel']:.2e}\n")

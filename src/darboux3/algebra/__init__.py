@@ -4,9 +4,11 @@ from .ring import Coefficient, Poly, d_poly, divide_by_d, q_squared
 from .operators import OperatorExpr, symbol_gradients, weighted_adjoint
 from .parser import ParseError, parse
 from .builders import (
+    FLAVORS,
     build_angular_invariants,
     build_fradkin,
     build_hamiltonian,
+    conjugation_exponent,
     curvature_coefficient,
     potential_u1,
     potential_u2,
@@ -24,6 +26,7 @@ from .verify import (
 )
 
 __all__ = [
+    "FLAVORS",
     "Check",
     "Coefficient",
     "OperatorExpr",
@@ -34,6 +37,7 @@ __all__ = [
     "build_fradkin",
     "build_hamiltonian",
     "conformal_potential_identity",
+    "conjugation_exponent",
     "corrupt_fradkin",
     "curvature_coefficient",
     "d_poly",

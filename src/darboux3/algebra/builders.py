@@ -11,8 +11,9 @@ from fractions import Fraction
 from .ring import Coefficient, Poly, q_squared
 from .operators import OperatorExpr
 
-HAMILTONIAN_FLAVORS = ("schrodinger", "lb", "tlb", "pdm", "tpdm")
-FRADKIN_FLAVORS = ("schrodinger", "tlb", "tpdm")
+# the three quantizations related by similarity; conjugation_exponent maps
+# each to its exponent, and every per-flavor factor derives from that
+FLAVORS = ("schrodinger", "tlb", "tpdm")
 
 
 def _omega_sq(nq):
@@ -43,41 +44,45 @@ def base_hamiltonian(nq):
     return OperatorExpr(nq, terms)
 
 
-def _q_dot_p(nq, im):
-    """i*im * hbar*lambda/D^2 * (q.p), for a rational im."""
+def _q_dot_p(nq, a):
+    """First-order part of D^a H D^(-a) - H: 2a*i*hbar*lambda/D^2 * (q.p)."""
     out = OperatorExpr.zero(nq)
     for i in range(nq):
-        num = Poly.variable(nq, i) * _hbar(nq) * _lam(nq) * Poly.constant(nq, 0, im)
+        num = Poly.variable(nq, i) * _hbar(nq) * _lam(nq) * Poly.constant(nq, 0, 2 * a)
         out._put(_alpha(nq, i), Coefficient(num, 2))
     return out
+
+
+def _central(nq, a):
+    """Central part of D^a H D^(-a) - H:
+    hbar^2*a*lambda*(N + lambda*q^2*(N - 2a - 2)) / D^3."""
+    inner = Poly.constant(nq, nq) + _lam(nq) * q_squared(nq) * (nq - 2 * a - 2)
+    num = _hbar(nq, 2) * _lam(nq) * inner * a
+    return OperatorExpr.from_coefficient(nq, Coefficient(num, 3))
 
 
 def potential_u1(nq):
     """Momentum-dependent correction of the Laplace-Beltrami kinetic term:
     -i*hbar*lambda*(N-2)/(2 D^2) * (q.p)."""
-    return _q_dot_p(nq, Fraction(-(nq - 2), 2))
+    return _q_dot_p(nq, conjugation_exponent("tlb", nq))
 
 
 def potential_u2(nq):
     """Central quantum potential restoring the full symmetry of the LB choice:
     -hbar^2*lambda*(N-2)*(2N + 3*lambda*q^2*(N-2)) / (8 D^3)."""
-    inner = Poly.constant(nq, 2 * nq) + _lam(nq) * q_squared(nq) * (3 * (nq - 2))
-    num = _hbar(nq, 2) * _lam(nq) * inner * Fraction(-(nq - 2), 8)
-    return OperatorExpr.from_coefficient(nq, Coefficient(num, 3))
+    return _central(nq, conjugation_exponent("tlb", nq))
 
 
 def potential_v1(nq):
     """Momentum-dependent correction of the symmetric PDM kinetic term:
     +i*hbar*lambda/D^2 * (q.p)."""
-    return _q_dot_p(nq, 1)
+    return _q_dot_p(nq, conjugation_exponent("tpdm", nq))
 
 
 def potential_v2(nq):
     """Central quantum potential restoring the full symmetry of the PDM choice:
     +hbar^2*lambda*(N + lambda*q^2*(N-3)) / (2 D^3)."""
-    inner = Poly.constant(nq, nq) + _lam(nq) * q_squared(nq) * (nq - 3)
-    num = _hbar(nq, 2) * _lam(nq) * inner * Fraction(1, 2)
-    return OperatorExpr.from_coefficient(nq, Coefficient(num, 3))
+    return _central(nq, conjugation_exponent("tpdm", nq))
 
 
 def build_hamiltonian(flavor, nq):
@@ -106,14 +111,11 @@ def build_hamiltonian(flavor, nq):
 
 
 def conjugation_exponent(flavor, nq):
-    """Exponent a with H_flavor = D^a H D^(-a) (None for lb/pdm)."""
-    if flavor == "schrodinger":
-        return Fraction(0)
-    if flavor == "tlb":
-        return Fraction(2 - nq, 4)
-    if flavor == "tpdm":
-        return Fraction(1, 2)
-    return None
+    """Exponent a with H_flavor = D^a H D^(-a): 0, (2-N)/4 and 1/2 for
+    schrodinger, tlb and tpdm; ValueError outside FLAVORS."""
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    return (Fraction(0), Fraction(2 - nq, 4), Fraction(1, 2))[FLAVORS.index(flavor)]
 
 
 def angular_momentum_component(nq, i, j):
@@ -159,8 +161,9 @@ def build_fradkin(flavor, nq):
     -2*lambda*q_i*q_j*H_flavor term, so the trace identity
     H_flavor = (1/2) sum_i I_ii holds exactly.
     """
-    if flavor not in FRADKIN_FLAVORS:
+    if flavor not in FLAVORS:
         raise ValueError(f"no Fradkin tensor for flavor {flavor!r}")
+    a = conjugation_exponent(flavor, nq)
     h = build_hamiltonian(flavor, nq)
     lam = _lam(nq)
     om2 = _omega_sq(nq)
@@ -173,21 +176,17 @@ def build_fradkin(flavor, nq):
             # -2*lambda*q_i*q_j*H + omega^2*q_i*q_j, shared by all flavors
             entry = entry + h.scale(Coefficient(qij * lam * (-2)))
             entry._put((0,) * nq, Coefficient(qij * om2))
-            if flavor != "schrodinger":
-                # hbar*lambda*c*(q_i p_j + q_j p_i)/D, c the factor of U1 or V1
-                c = Poly.constant(nq, 0, Fraction(-(nq - 2), 2) if flavor == "tlb" else 1)
-                for a, b in ((i, j), (j, i)):
-                    num = Poly.variable(nq, a) * _hbar(nq) * lam * c
+            if a:
+                # the D^a conjugate adds 2a*i*hbar*lambda*(q_i p_j + q_j p_i)/D,
+                # -4a(1+a)*hbar^2*lambda^2*q_i*q_j/D^2 and, on the diagonal,
+                # 2a*hbar^2*lambda/D
+                c = Poly.constant(nq, 0, 2 * a)
+                for k, b in ((i, j), (j, i)):
+                    num = Poly.variable(nq, k) * _hbar(nq) * lam * c
                     entry._put(_alpha(nq, b), Coefficient(num, 1))
-            if flavor == "tlb":
-                scal = Fraction(nq - 2) * (1 - Fraction(nq - 2, 4))
-                entry._put((0,) * nq, Coefficient(qij * hb2 * _lam(nq, 2) * scal, 2))
+                entry._put((0,) * nq, Coefficient(qij * hb2 * _lam(nq, 2) * (-4 * a * (1 + a)), 2))
                 if i == j:
-                    entry._put((0,) * nq, Coefficient(hb2 * lam * Fraction(-(nq - 2), 2), 1))
-            elif flavor == "tpdm":
-                entry._put((0,) * nq, Coefficient(qij * hb2 * _lam(nq, 2) * (-3), 2))
-                if i == j:
-                    entry._put((0,) * nq, Coefficient(hb2 * lam, 1))
+                    entry._put((0,) * nq, Coefficient(hb2 * lam * (2 * a), 1))
             tensor[i][j] = entry
             tensor[j][i] = entry
     return tensor

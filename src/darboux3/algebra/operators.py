@@ -51,11 +51,6 @@ class OperatorExpr:
         return OperatorExpr(nq, {(0,) * nq: Coefficient.constant(nq, 1)})
 
     @staticmethod
-    def scalar(nq, c):
-        c = Coefficient.constant(nq, c)
-        return OperatorExpr(nq, {(0,) * nq: c} if c else {})
-
-    @staticmethod
     def from_coefficient(nq, coeff):
         """Pure multiplication operator by a rational function of q."""
         return OperatorExpr(nq, {(0,) * nq: coeff} if coeff else {})
@@ -110,22 +105,13 @@ class OperatorExpr:
         return OperatorExpr(self.nq, {a: -c for a, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = OperatorExpr.scalar(self.nq, other)
         out = OperatorExpr(self.nq, dict(self.terms))
         for a, c in other.terms.items():
             out._put(a, c)
         return out
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = OperatorExpr.scalar(self.nq, other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def scale(self, c):
         """Multiply by a scalar or by a pure function of q (a Coefficient)."""
@@ -153,11 +139,6 @@ class OperatorExpr:
                         key = tuple(g + b for g, b in zip(gamma_alpha, beta))
                         out._put(key, c * coeff)
         return out
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def __pow__(self, n):
         if n < 0:

@@ -29,9 +29,10 @@ carries from one slot into the next, and a product that sets a guard bit raises
 ``degree_in``) read or write single slots.
 
 All arithmetic is exact: a ``Poly`` holds Gaussian-integer numerators over one
-positive integer denominator, the only exact scalar type.  Scalar operands are
-``int`` and ``Fraction``; i, or any Gaussian rational, enters as a constant
-``Poly`` built from its real and imaginary parts.
+positive integer denominator, the only exact scalar type.  A scalar factor is
+an ``int`` or a ``Fraction``, and both operands of a sum are ``Poly``; i, or
+any Gaussian rational, enters as a constant ``Poly`` built from its real and
+imaginary parts.
 """
 
 from __future__ import annotations
@@ -164,8 +165,6 @@ class Poly:
         return Poly(self.nq, {e: (-a, -b) for e, (a, b) in self.terms.items()}, self.den)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.nq, other)
         if not other.terms:
             return self
         if not self.terms:
@@ -188,11 +187,7 @@ class Poly:
             out[e] = (a, b)
         return _reduced(self.nq, out, d1 * m1)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.nq, other)
         return self + (-other)
 
     def __mul__(self, other):

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .operators import OperatorExpr, weighted_adjoint
 from .builders import (
-    FRADKIN_FLAVORS,
+    FLAVORS,
     build_angular_invariants,
     build_fradkin,
     build_hamiltonian,
@@ -117,8 +117,7 @@ def verify_theorem(flavor, nq, parts=ALL_PARTS, fradkin=None):
     exact rank of the gradients of these operators' hbar = 0 symbols at a
     rational point.
     """
-    if flavor not in FRADKIN_FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}")
+    expo = conjugation_exponent(flavor, nq)  # ValueError on an unknown flavor
     if isinstance(parts, str):
         parts = (parts,)
     unknown = set(parts) - set(ALL_PARTS)
@@ -165,15 +164,14 @@ def verify_theorem(flavor, nq, parts=ALL_PARTS, fradkin=None):
         )
 
     if "conjugation" in parts:
-        a = conjugation_exponent(flavor, nq)
         base = build_fradkin("schrodinger", nq)
         for i in range(nq):
             for j in range(i, nq):
-                conj = base[i][j].conjugate_by_d_power(a)
+                conj = base[i][j].conjugate_by_d_power(expo)
                 report.checks.append(
                     _residual_check(
                         f"I_{flavor},{i+1}{j+1}",
-                        f"D^({a}) I_{i+1}{j+1} D^(-{a})",
+                        f"D^({expo}) I_{i+1}{j+1} D^(-{expo})",
                         fradkin[i][j] - conj,
                     )
                 )
@@ -189,36 +187,23 @@ def similarity_checks(nq):
 
     plus the conformal-potential identity U2 = hbar^2 (N-2) R / (8 (N-1)) and
     the self-adjointness of each Hamiltonian in its own weighted product
-    (weights D, D^(N/2) and 1).
+    (weight D^(1-2a): D, D^(N/2) and 1).
     """
-    h = build_hamiltonian("schrodinger", nq)
-    tlb = build_hamiltonian("tlb", nq)
-    tpdm = build_hamiltonian("tpdm", nq)
+    hs = {f: build_hamiltonian(f, nq) for f in FLAVORS}
+    a = {f: conjugation_exponent(f, nq) for f in FLAVORS}
+    # H_to = D^b H_from D^(-b) with b = a_to - a_from
     checks = [
-        _residual_check(
-            "H_tlb", "D^((2-N)/4) H D^(-(2-N)/4)",
-            tlb - h.conjugate_by_d_power(Fraction(2 - nq, 4)),
-        ),
-        _residual_check(
-            "H_tpdm", "D^(1/2) H D^(-1/2)",
-            tpdm - h.conjugate_by_d_power(Fraction(1, 2)),
-        ),
-        _residual_check(
-            "H_tpdm", "D^(N/4) H_tlb D^(-N/4)",
-            tpdm - tlb.conjugate_by_d_power(Fraction(nq, 4)),
-        ),
-        _conformal_check(nq),
-        _residual_check(
-            "H^dagger (weight D)", "H", weighted_adjoint(h, 1) - h
-        ),
-        _residual_check(
-            "H_tlb^dagger (weight D^(N/2))", "H_tlb",
-            weighted_adjoint(tlb, Fraction(nq, 2)) - tlb,
-        ),
-        _residual_check(
-            "H_tpdm^dagger (standard L2)", "H_tpdm", tpdm.adjoint() - tpdm
-        ),
+        _residual_check(f"H_{to}", label, hs[to] - hs[fr].conjugate_by_d_power(a[to] - a[fr]))
+        for fr, to, label in (("schrodinger", "tlb", "D^((2-N)/4) H D^(-(2-N)/4)"),
+                              ("schrodinger", "tpdm", "D^(1/2) H D^(-1/2)"),
+                              ("tlb", "tpdm", "D^(N/4) H_tlb D^(-N/4)"))
     ]
+    checks.append(_conformal_check(nq))
+    for f, name, weight in (("schrodinger", "H", "weight D"),
+                            ("tlb", "H_tlb", "weight D^(N/2)"),
+                            ("tpdm", "H_tpdm", "standard L2")):
+        residual = weighted_adjoint(hs[f], 1 - 2 * a[f]) - hs[f]
+        checks.append(_residual_check(f"{name}^dagger ({weight})", name, residual))
     return checks
 
 

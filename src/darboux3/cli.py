@@ -23,6 +23,7 @@ from . import classical as cl
 from . import reports as rp
 from . import spectra as sp
 from .algebra import (
+    FLAVORS,
     build_fradkin,
     corrupt_fradkin,
     similarity_checks,
@@ -88,17 +89,11 @@ def build_parser():
         prog="darboux3",
         description="Curved-space oscillator verification suite",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--out", default=None, help="output path (default: stdout)")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--no-timestamp", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("verify", parents=[common],
-                       help="symbolic symmetry-algebra verification")
+    v = sub.add_parser("verify", help="symbolic symmetry-algebra verification")
     v.add_argument("--dim", type=int, choices=(2, 3, 4, 5), default=3)
-    v.add_argument("--flavor", choices=("schrodinger", "tlb", "tpdm"), default="schrodinger")
+    v.add_argument("--flavor", choices=FLAVORS, default="schrodinger")
     v.add_argument(
         "--parts", type=_parts, default=",".join(ALL_PARTS),
         help=f"comma-separated subset of {','.join(ALL_PARTS)}",
@@ -109,7 +104,7 @@ def build_parser():
                    help="drop the omega^2 term from one Fradkin entry, e.g. I11")
     v.set_defaults(parser=v)  # --corrupt is checked against --dim after parsing
 
-    s = sub.add_parser("spectrum", parents=[common], help="radial bound states vs closed form")
+    s = sub.add_parser("spectrum", help="radial bound states vs closed form")
     s.add_argument("--dim", type=_DIM, default=3)
     s.add_argument("--l", type=_NONNEGATIVE_INT, default=0)
     s.add_argument("--lambda", dest="lam", type=_NONNEGATIVE, default=0.02)
@@ -120,11 +115,11 @@ def build_parser():
                    help="finer grid M of the Richardson pair (M//2, M); default "
                         f"{sp.DEFAULT_GRID} cells, or {sp.ISOSPECTRAL_GRID} with --flavor all")
     s.add_argument("--qmax", type=_POSITIVE, default=None, help="override automatic box size")
-    s.add_argument("--flavor", choices=("schrodinger", "tlb", "tpdm", "all"), default="tlb")
+    s.add_argument("--flavor", choices=(*FLAVORS, "all"), default="tlb")
     s.add_argument("--wavefunctions", default=None, metavar="PATH",
                    help="also export radial wave functions as CSV (r, phi_0..phi_k)")
 
-    c = sub.add_parser("classical", parents=[common], help="trajectory drift, ranks, orbit closure")
+    c = sub.add_parser("classical", help="trajectory drift, ranks, orbit closure")
     c.add_argument("--dim", type=_DIM, default=3)
     c.add_argument("--lambda", dest="lam", type=_NONNEGATIVE, default=0.02)
     c.add_argument("--omega", type=_POSITIVE, default=1.0)
@@ -133,14 +128,22 @@ def build_parser():
     c.add_argument("--trajectory", default=None, metavar="PATH",
                    help="also export the sampled trajectory as CSV")
 
-    f = sub.add_parser("figures", parents=[common], help="plot-ready curve data for figures 1-5")
+    f = sub.add_parser("figures", help="plot-ready curve data for figures 1-5")
     f.add_argument("--which", type=int, choices=(1, 2, 3, 4, 5), required=True)
     f.add_argument("--dir", default=".", help="output directory for CSV/JSON files")
+
+    # each command takes only the flags it reads
+    s.add_argument("--format", choices=("json", "csv"), default="json")
+    c.add_argument("--seed", type=int, default=0)
+    for cmd in (v, s, c):
+        cmd.add_argument("--out", default=None, help="output path (default: stdout)")
+    for cmd in (v, s, c, f):
+        cmd.add_argument("--no-timestamp", action="store_true")
     return parser
 
 
 def _emit(args, report, csv_text=None):
-    if args.format == "csv" and csv_text is not None:
+    if csv_text is not None and args.format == "csv":
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(csv_text)
@@ -213,10 +216,10 @@ def _spectrum(args):
         report = rp.make_report("spectrum", body, timestamp=not args.no_timestamp)
         rows = [
             (nr, 2 * nr + args.l, body["levels_closed_form"][nr],
-             *(per_flavor[fl][nr] for fl in sp.RADIAL_FLAVORS))
+             *(per_flavor[fl][nr] for fl in FLAVORS))
             for nr in range(k)
         ]
-        csv_text = rp.dump_csv(rows, ("n_r", "n", "E_closed", *sp.RADIAL_FLAVORS))
+        csv_text = rp.dump_csv(rows, ("n_r", "n", "E_closed", *FLAVORS))
         _emit(args, report, csv_text)
         ok = worst_closed <= SPECTRUM_TOLERANCE and iso["agree"]
         return 0 if ok else 1

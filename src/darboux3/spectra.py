@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .algebra.builders import FLAVORS, conjugation_exponent
 from .model import (
     ModelParams,
     closed_form_energy,
@@ -33,8 +35,6 @@ from .model import (
     inverse_flattening,
     quantum_effective_potential,
 )
-
-RADIAL_FLAVORS = ("schrodinger", "tlb", "tpdm")
 
 # box states sitting within this fraction of the continuum threshold are
 # discretization artifacts of the finite grid and are not trusted
@@ -82,7 +82,7 @@ class RadialProblem:
     def __post_init__(self):
         if self.l < 0 or int(self.l) != self.l:
             raise ValueError("l must be a nonnegative integer")
-        if self.flavor not in RADIAL_FLAVORS:
+        if self.flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
 
     def centrifugal_eigenvalue(self):
@@ -324,33 +324,24 @@ def convergence_order(problem, k=6):
 
 
 def _sl_weights(flavor, r, params):
-    """Sturm-Liouville data (p, w) with L = -(hbar^2/2w) d/dr (p d/dr) + V:
-    p = r^(N-1) D^s and w = p*D, where s = 0, (N-2)/2, -1 for the
-    schrodinger / tlb / tpdm orderings (w is each flavor's natural measure)."""
-    n, lam = params.dim, params.lam
-    d = 1.0 + lam * r * r
-    if flavor == "schrodinger":
-        p = r ** (n - 1)
-    elif flavor == "tlb":
-        p = r ** (n - 1) * d ** ((n - 2) / 2.0)
-    elif flavor == "tpdm":
-        p = r ** (n - 1) / d
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}")
+    """Sturm-Liouville data (p, w) with L = -(hbar^2/2w) d/dr (p d/dr) + V of
+    the flavor D^a H D^(-a), a = conjugation_exponent: p = r^(N-1) D^(-2a) and
+    w = p*D, the flavor's natural measure r^(N-1) D^(1-2a)."""
+    a = conjugation_exponent(flavor, params.dim)
+    d = 1.0 + params.lam * r * r
+    p = r ** (params.dim - 1) * d ** float(-2 * a)
     return p, p * d
 
 
 def _sl_potential(flavor, r, params, l):
-    """Local potential of the flavor's radial equation (centrifugal + well +
-    the flavor's central quantum correction)."""
+    """Local potential of the flavor's radial equation: centrifugal term, well
+    and the central term hbar^2 a lambda (N + lambda r^2 (N - 2a - 2)) / D^3
+    of D^a H D^(-a) (U2 for tlb, V2 for tpdm, 0 for schrodinger)."""
     n, lam, om, hb = params.dim, params.lam, params.omega, params.hbar
+    a = float(conjugation_exponent(flavor, n))
     d = 1.0 + lam * r * r
     v = hb * hb * l * (l + n - 2) / (2.0 * d * r * r) + om * om * r * r / (2.0 * d)
-    if flavor == "tlb":
-        v -= hb * hb * lam * (n - 2) * (2 * n + 3 * lam * r * r * (n - 2)) / (8.0 * d**3)
-    elif flavor == "tpdm":
-        v += hb * hb * lam * (n + lam * r * r * (n - 3)) / (2.0 * d**3)
-    return v
+    return v + hb * hb * a * lam * (n + lam * r * r * (n - 2 * a - 2)) / d**3
 
 
 def flavor_radial_solve(params, l, flavor, r_max, k=6, m=ISOSPECTRAL_GRID):
@@ -388,17 +379,14 @@ def isospectrality_check(params, l, k=6, m=ISOSPECTRAL_GRID):
     levels = {
         fl: _richardson(flavor_radial_solve(params, l, fl, r_max, k=k, m=m // 2),
                         flavor_radial_solve(params, l, fl, r_max, k=k, m=m), m / (m // 2))
-        for fl in RADIAL_FLAVORS
+        for fl in FLAVORS
     }
     worst = 0.0
     pairs = {}
-    flavors = list(RADIAL_FLAVORS)
-    for a in range(len(flavors)):
-        for b in range(a + 1, len(flavors)):
-            fa, fb = flavors[a], flavors[b]
-            dev = float(np.max(np.abs(levels[fa] - levels[fb]) / np.abs(levels[fb])))
-            pairs[f"{fa}/{fb}"] = dev
-            worst = max(worst, dev)
+    for fa, fb in combinations(FLAVORS, 2):
+        dev = float(np.max(np.abs(levels[fa] - levels[fb]) / np.abs(levels[fb])))
+        pairs[f"{fa}/{fb}"] = dev
+        worst = max(worst, dev)
     return {
         "levels": levels,
         "pairwise_rel": pairs,
@@ -449,8 +437,8 @@ class CartesianEigenfunction:
 
     The product of Gaussian-Hermite factors solves the rescaled flat problem
     (-hbar^2 Lap + Omega^2 q^2) Psi = 2 E_n Psi with Omega = Omega(E_n); the
-    flavor enters only through a power of the conformal factor:
-    tlb carries D^((2-N)/4), tpdm carries D^(1/2), schrodinger none.
+    flavor enters only through the factor D^a of D^a H D^(-a), with
+    a = conjugation_exponent(flavor, N).
     """
 
     params: ModelParams
@@ -458,7 +446,7 @@ class CartesianEigenfunction:
     flavor: str = "tlb"
 
     def __post_init__(self):
-        if self.flavor not in RADIAL_FLAVORS:
+        if self.flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
         if len(self.partition) != self.params.dim:
             raise ValueError("partition length must equal the dimension")
@@ -479,19 +467,12 @@ class CartesianEigenfunction:
         omega_eff = effective_frequency(self.params, self.energy)
         return math.sqrt(omega_eff / self.params.hbar)
 
-    def conformal_exponent(self):
-        if self.flavor == "schrodinger":
-            return 0.0
-        if self.flavor == "tlb":
-            return (2 - self.params.dim) / 4.0
-        return 0.5
-
 
 def eigenfunction_value(ef, q):
     """Evaluate the closed-form eigenfunction at one point or a batch.
 
     q has shape (N,) or (batch, N); Hermite factors come from the recurrence,
-    and the flavor's conformal-factor power multiplies the flat product.
+    and the flavor's factor D^a multiplies the flat product.
     """
     q = np.asarray(q, dtype=float)
     single = q.ndim == 1
@@ -502,10 +483,10 @@ def eigenfunction_value(ef, q):
         x = beta * pts[:, i]
         h = hermite_values(n_i, x)[n_i]
         core = core * np.exp(-0.5 * x * x) * h
-    expo = ef.conformal_exponent()
-    if expo != 0.0:
+    expo = conjugation_exponent(ef.flavor, ef.params.dim)
+    if expo:
         d = 1.0 + ef.params.lam * np.sum(pts * pts, axis=1)
-        core = core * d**expo
+        core = core * d ** float(expo)
     return float(core[0]) if single else core
 
 
@@ -655,8 +636,8 @@ def radial_wavefunctions(problem, k=6):
     """Numeric radial wave functions of every flavor from one reduced solve.
 
     The reduced eigenvector u(Q) converts to the flavor functions through
-    Phi_tlb = r^((1-N)/2) D^(-(N-1)/4) u,  Phi = D^((N-2)/4) Phi_tlb,
-    Phi_tpdm = D^(N/4) Phi_tlb, on the fine grid's cell centres.  Returns
+    Phi_tlb = r^((1-N)/2) D^(-(N-1)/4) u and Phi_f = D^(a_f - a_tlb) Phi_tlb,
+    a = conjugation_exponent, on the fine grid's cell centres.  Returns
     (r_nodes, {flavor: array (k, M)}, report).
     """
     report = solve_bound_states(problem, k=k, eigenvectors=True)
@@ -666,9 +647,6 @@ def radial_wavefunctions(problem, k=6):
     n = params.dim
     u = report.eigenvectors.T  # (k, M)
     phi_tlb = u * r ** ((1 - n) / 2.0) * d ** (-(n - 1) / 4.0)
-    out = {
-        "tlb": phi_tlb,
-        "schrodinger": phi_tlb * d ** ((n - 2) / 4.0),
-        "tpdm": phi_tlb * d ** (n / 4.0),
-    }
+    a_tlb = conjugation_exponent("tlb", n)
+    out = {f: phi_tlb * d ** float(conjugation_exponent(f, n) - a_tlb) for f in FLAVORS}
     return r, out, report

@@ -283,6 +283,9 @@ def test_parse_division_by_d_powers_and_scalars():
     # a Gaussian-rational divisor: 1/((a + i*b)/den) = den*(a - i*b)/(a^2 + b^2)
     assert parse("(2 - 3*i)/((2 + 3*i)/5)", 2) * parse("2 + 3*i", 2) == parse("5*(2 - 3*i)", 2)
     assert parse("1/(i*D)", 2) == parse("-i*D^-1", 2)
+    # a divisor that carries its own D-power
+    assert parse("q1/D^-1", 2) == parse("q1*D", 2)
+    assert parse("q1/(2*D^-1*D^-1)", 2) == parse("q1*D^2/2", 2)
 
 
 @pytest.mark.parametrize("text, pos", [("1/0", 2), ("1/(2-2)", 2), ("0^-1", 0), ("q1/(p1-p1)", 3)])
@@ -297,6 +300,8 @@ def test_tokens_and_error_positions():
     for text, pos, message in (("q1 @ p1", 3, "unexpected character '@'"),
                                ("2*q1/(q1)", 5, "division only by scalars and powers of D"),
                                ("q1^-1", 0, "division only by scalars and powers of D"),
+                               ("q1^lambda", 3, "expected integer exponent"),
+                               ("q1^-q2", 4, "expected integer exponent"),
                                ("q1 p1", 3, "trailing input")):
         with pytest.raises(ParseError) as exc:
             parse(text, 2)

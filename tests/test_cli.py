@@ -74,6 +74,15 @@ BAD_FLAGS = (
     # no selected part reads the corrupted entry (ii reads the diagonal only)
     ["verify", "--dim", "2", "--parts", "sl2", "--corrupt", "I12"],
     ["verify", "--dim", "2", "--parts", "ii", "--corrupt", "I12"],
+    # flags a command does not read: verify and classical always write JSON,
+    # figures writes into --dir, and only classical draws random numbers
+    ["verify", "--format", "csv"],
+    ["verify", "--seed", "1"],
+    ["spectrum", "--seed", "1"],
+    ["classical", "--format", "csv"],
+    ["figures", "--which", "1", "--out", "x.json"],
+    ["figures", "--which", "1", "--format", "json"],
+    ["figures", "--which", "1", "--seed", "1"],
 )
 
 
@@ -287,7 +296,7 @@ def test_csv_cells_parse_as_floats(capsys, tmp_path):
                       "--format", "csv", "--out", str(paths[-1]), "--no-timestamp")
     assert code == 0
     for path in paths:
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert len(rows) > 2, path
         for row in rows[1:]:
             for cell in row:
@@ -377,17 +386,15 @@ def _cli_calls(out_dir):
     def switch(name):
         return st.sampled_from([(), (name,)])
 
-    common = (
-        flag("--format", ("json", "csv")),
-        flag("--out", (str(out_dir / "report"), str(out_dir / "missing" / "report"))),
-        flag("--seed", ("0", "7", "-3")),
-        switch("--no-timestamp"),
-    )
-    common_bad = [("--format", "xml"), ("--seed", "x"), ("--bogus",)]
+    fmt = flag("--format", ("json", "csv"))
+    out = flag("--out", (str(out_dir / "report"), str(out_dir / "missing" / "report")))
+    seed = flag("--seed", ("0", "7", "-3"))
+    # each command takes only the flags it reads; the others are bad flags
+    common_bad = [("--bogus",)]
 
     def command(name, flags, bad):
         bad = st.one_of(st.just(()), st.sampled_from(bad + common_bad))
-        return st.tuples(*flags, *common, bad).map(
+        return st.tuples(*flags, switch("--no-timestamp"), bad).map(
             lambda parts: [name, *(a for p in parts for a in p)])
 
     verify = command("verify", (
@@ -395,8 +402,10 @@ def _cli_calls(out_dir):
         flag("--flavor", ("schrodinger", "tlb", "tpdm")),
         flag("--corrupt", ("I11", "I12", "I22")),
         switch("--similarity"),
+        out,
     ), [("--dim", "7"), ("--dim", "two"), ("--parts", "foo"), ("--parts", ","),
-        ("--flavor", "lb"), ("--corrupt", "I33"), ("--corrupt", "XYZ")])
+        ("--flavor", "lb"), ("--corrupt", "I33"), ("--corrupt", "XYZ"),
+        ("--format", "csv"), ("--seed", "7")])
     spectrum = command("spectrum", (
         st.integers(100, 400).map(lambda m: ("--grid", str(m))),
         flag("--levels", ("1", "2", "3")),
@@ -408,9 +417,12 @@ def _cli_calls(out_dir):
         flag("--qmax", ("4", "12")),
         flag("--flavor", ("schrodinger", "tlb", "tpdm", "all")),
         flag("--wavefunctions", (str(out_dir / "wf.csv"), str(out_dir / "missing" / "wf.csv"))),
+        fmt,
+        out,
     ), [("--grid", "10"), ("--grid", "1e3"), ("--levels", "0"), ("--dim", "1"), ("--l", "-1"),
         ("--lambda", "-1"), ("--lambda", "nan"), ("--omega", "0"), ("--omega", "inf"),
-        ("--hbar", "0"), ("--qmax", "-3"), ("--flavor", "lb")])
+        ("--hbar", "0"), ("--qmax", "-3"), ("--flavor", "lb"), ("--format", "xml"),
+        ("--seed", "7")])
     classical = command("classical", (
         st.floats(0.5, 5.0).map(lambda t: ("--t-end", repr(t))),
         flag("--dim", ("2", "3", "4")),
@@ -418,13 +430,17 @@ def _cli_calls(out_dir):
         flag("--omega", ("1", "1.3")),
         flag("--tolerance", ("1e-8", "1e-10")),
         flag("--trajectory", (str(out_dir / "traj.csv"), str(out_dir / "missing" / "traj.csv"))),
+        seed,
+        out,
     ), [("--t-end", "0"), ("--t-end", "-1"), ("--t-end", "inf"), ("--dim", "1"),
-        ("--lambda", "-0.1"), ("--omega", "0"), ("--tolerance", "0")])
+        ("--lambda", "-0.1"), ("--omega", "0"), ("--tolerance", "0"), ("--seed", "x"),
+        ("--format", "csv")])
     figures = command("figures", (
         st.sampled_from("12345").map(lambda w: ("--which", w)),
         st.sampled_from((out_dir / "figures", out_dir / "report" / "sub")).map(
             lambda d: ("--dir", str(d))),
-    ), [("--which", "0"), ("--which", "x")])
+    ), [("--which", "0"), ("--which", "x"), ("--out", str(out_dir / "report")),
+        ("--format", "json"), ("--seed", "7")])
     stray = st.sampled_from(([], ["nonsense"], ["--help"], ["verify", "-h"]))
     return st.lists(st.one_of(verify, spectrum, classical, figures, stray), min_size=1, max_size=3)
 

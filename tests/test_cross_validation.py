@@ -10,7 +10,7 @@ forms).  Agreement here ties the three layers together end to end.
 import numpy as np
 import pytest
 
-from darboux3.algebra import build_hamiltonian
+from darboux3.algebra import build_hamiltonian, conjugation_exponent, potential_u2, potential_v2
 from darboux3.model import ModelParams, closed_form_energy
 from darboux3 import spectra as sp
 
@@ -143,3 +143,48 @@ def test_quantum_effective_potential_consistent_with_radial_operator():
         d = 1.0 + params.lam * r0 * r0
         rhs = rhs_phi * r0 ** ((params.dim - 1) / 2.0) * d ** ((params.dim - 1) / 4.0)
         assert lhs == pytest.approx(rhs, rel=2e-6)
+
+
+@pytest.mark.parametrize("nq", [2, 3, 4, 5, 6])
+def test_radial_flavor_data_match_the_exact_engine(nq):
+    # the flavor route's central term is the engine's U2 (tlb), V2 (tpdm) or
+    # 0 (schrodinger) at q = (r, 0, ...), and its flux coefficient is
+    # p = r^(N-1) D^(-2a) with the weight w = p D
+    params = ModelParams(dim=nq, lam=0.03, omega=1.2, hbar=0.9)
+    r = np.linspace(0.2, 3.0, 15)
+    d = 1.0 + params.lam * r * r
+    base = sp._sl_potential("schrodinger", r, params, 0)
+    for flavor, central in (("schrodinger", None), ("tlb", potential_u2(nq)),
+                            ("tpdm", potential_v2(nq))):
+        got = sp._sl_potential(flavor, r, params, 0) - base
+        if central is None:
+            assert np.all(got == 0.0)
+        else:
+            assert set(central.terms) <= {(0,) * nq}
+            want = [sum(c.eval((x,) + (0.0,) * (nq - 1) + (params.lam, params.omega, params.hbar))
+                        for c in central.terms.values()) for x in r]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0 if nq > 2 else 1e-300)
+        p, w = sp._sl_weights(flavor, r, params)
+        a = conjugation_exponent(flavor, nq)
+        np.testing.assert_allclose(p * d ** float(2 * a) / r ** (nq - 1), 1.0, rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(w, p * d)
+
+
+def test_flavor_route_is_the_conjugate_for_every_n():
+    # for symbolic N and a, D^a L0 D^(-a) is the flux form with p = r^(N-1)
+    # D^(-2a), w = p D and the central term W_a of spectra._sl_potential
+    # (L0 the schrodinger radial operator at l = 0)
+    sym = pytest.importorskip("sympy")
+    r, lam, hb, om, n, a = sym.symbols("r lambda hbar omega N a", positive=True)
+    u = sym.Function("u")(r)
+    d = 1 + lam * r**2
+
+    def l0(f):
+        return (-hb**2 / (2 * d) * (sym.diff(f, r, 2) + (n - 1) / r * sym.diff(f, r))
+                + om**2 * r**2 / (2 * d) * f)
+
+    p = r ** (n - 1) * d ** (-2 * a)
+    w_a = hb**2 * a * lam * (n + lam * r**2 * (n - 2 * a - 2)) / d**3
+    flux = -hb**2 / (2 * p * d) * sym.diff(p * sym.diff(u, r), r) + (om**2 * r**2 / (2 * d) + w_a) * u
+    residual = sym.powsimp(sym.expand(d**a * l0(d ** (-a) * u) - flux), force=True)
+    assert sym.cancel(residual) == 0

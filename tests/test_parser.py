@@ -28,7 +28,7 @@ def _d_inverse(k):
 # (text, value) leaves: every atom of the grammar, and negative D-powers in
 # both exponent spellings
 _LEAVES = [
-    *((str(k), OperatorExpr.scalar(NQ, k)) for k in (0, 1, 2, 3, 7)),
+    *((str(k), _op(Coefficient.constant(NQ, k))) for k in (0, 1, 2, 3, 7)),
     ("i", _op(Coefficient(Poly.constant(NQ, 0, 1)))),
     *((name, OperatorExpr.symbol(NQ, name)) for name in ("lambda", "omega", "hbar")),
     ("D", _op(Coefficient(d_poly(NQ)))),
