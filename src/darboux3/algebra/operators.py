@@ -10,6 +10,9 @@ push-through rule
 
 so two operators are equal iff their term maps coincide once every
 coefficient is put in canonical form, which equality does on demand.
+Coefficients commute, so the gamma = 0 terms c_alpha*d_beta*p^(alpha+beta)
+of A*B and B*A are equal: a commutator is formed from the gamma != 0 terms
+of the two products alone.
 
 The expansion of p^alpha f(q) depends only on alpha and f, and a Coefficient
 is never modified after construction (only ``OperatorExpr.terms`` is, by
@@ -131,13 +134,9 @@ class OperatorExpr:
             return self.scale(other)
         out = OperatorExpr(self.nq)
         for alpha, c in self.terms.items():
-            pushes = any(alpha)
             for beta, d in other.terms.items():
                 out._put(tuple(a + b for a, b in zip(alpha, beta)), c * d)
-                if pushes:
-                    for gamma_alpha, coeff in _pushed(alpha, d):
-                        key = tuple(g + b for g, b in zip(gamma_alpha, beta))
-                        out._put(key, c * coeff)
+        _add_pushed(out, self, other, negate=False)
         return out
 
     def __pow__(self, n):
@@ -149,7 +148,13 @@ class OperatorExpr:
         return out
 
     def commutator(self, other):
-        return self * other - other * self
+        """self*other - other*self from the push-through terms alone: each
+        leading product c_alpha*d_beta*p^(alpha+beta) of one order equals one
+        of the other, because coefficients commute, so neither is formed."""
+        out = OperatorExpr(self.nq)
+        _add_pushed(out, self, other, negate=False)
+        _add_pushed(out, other, self, negate=True)
+        return out
 
     # -- involutions ---------------------------------------------------------
 
@@ -222,6 +227,20 @@ class OperatorExpr:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+def _add_pushed(out, left, right, negate):
+    """Add to ``out`` the push-through terms of left*right past the leading
+    products, negated when ``negate``: the sum over alpha != 0 and beta of
+    c_alpha * (p^alpha d_beta less d_beta p^alpha) * p^beta."""
+    for alpha, c in left.terms.items():
+        if not any(alpha):
+            continue
+        if negate:
+            c = -c
+        for beta, d in right.terms.items():
+            for gamma_alpha, coeff in _pushed(alpha, d):
+                out._put(tuple(g + b for g, b in zip(gamma_alpha, beta)), c * coeff)
 
 
 def _pushed(alpha, coeff):

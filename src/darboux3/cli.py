@@ -118,13 +118,17 @@ def build_parser():
     s.add_argument("--flavor", choices=(*FLAVORS, "all"), default="tlb")
     s.add_argument("--wavefunctions", default=None, metavar="PATH",
                    help="also export radial wave functions as CSV (r, phi_0..phi_k)")
+    s.set_defaults(parser=s)  # --levels is checked against --grid after parsing
 
     c = sub.add_parser("classical", help="trajectory drift, ranks, orbit closure")
     c.add_argument("--dim", type=_DIM, default=3)
     c.add_argument("--lambda", dest="lam", type=_NONNEGATIVE, default=0.02)
     c.add_argument("--omega", type=_POSITIVE, default=1.0)
     c.add_argument("--t-end", type=_POSITIVE, default=100.0)
-    c.add_argument("--tolerance", type=_POSITIVE, default=1e-10)
+    # solve_ivp raises a smaller rtol to 100 machine epsilons with a warning
+    c.add_argument("--tolerance", default=1e-10, type=_number(
+        float, lambda x: 100 * np.finfo(float).eps <= x < float("inf"),
+        f"a finite number >= {100 * np.finfo(float).eps:.3g} (the integrator's floor)"))
     c.add_argument("--trajectory", default=None, metavar="PATH",
                    help="also export the sampled trajectory as CSV")
 
@@ -143,12 +147,15 @@ def build_parser():
 
 
 def _emit(args, report, csv_text=None):
+    """Write the JSON report, or with --format csv the text that the
+    zero-argument ``csv_text`` returns, built only then."""
     if csv_text is not None and args.format == "csv":
+        text = csv_text()
         if args.out:
             with open(args.out, "w") as fh:
-                fh.write(csv_text)
+                fh.write(text)
         else:
-            sys.stdout.write(csv_text)
+            sys.stdout.write(text)
         return
     text = rp.dump_json(report, args.out)
     if args.out is None:
@@ -214,12 +221,15 @@ def _spectrum(args):
             "isospectral": iso["agree"],
         }
         report = rp.make_report("spectrum", body, timestamp=not args.no_timestamp)
-        rows = [
-            (nr, 2 * nr + args.l, body["levels_closed_form"][nr],
-             *(per_flavor[fl][nr] for fl in FLAVORS))
-            for nr in range(k)
-        ]
-        csv_text = rp.dump_csv(rows, ("n_r", "n", "E_closed", *FLAVORS))
+
+        def csv_text():
+            rows = [
+                (nr, 2 * nr + args.l, body["levels_closed_form"][nr],
+                 *(per_flavor[fl][nr] for fl in FLAVORS))
+                for nr in range(k)
+            ]
+            return rp.dump_csv(rows, ("n_r", "n", "E_closed", *FLAVORS))
+
         _emit(args, report, csv_text)
         ok = worst_closed <= SPECTRUM_TOLERANCE and iso["agree"]
         return 0 if ok else 1
@@ -240,8 +250,7 @@ def _spectrum(args):
     body = rep.to_json()
     body["max_rel_mismatch"] = rep.max_rel_residual
     report = rp.make_report("spectrum", body, timestamp=not args.no_timestamp)
-    csv_text = rp.dump_csv(rp.spectrum_csv_rows(rep.levels), rp.SPECTRUM_CSV_HEADER)
-    _emit(args, report, csv_text)
+    _emit(args, report, lambda: rp.dump_csv(rp.spectrum_csv_rows(rep.levels), rp.SPECTRUM_CSV_HEADER))
     if len(rep.levels) < k:
         return 1
     return 0 if rep.max_rel_residual <= SPECTRUM_TOLERANCE else 1
@@ -358,6 +367,12 @@ def main(argv=None):
         # a mutation no selected part reads would pass silently
         if not any(PART_READS_ENTRY[part](i, j) for part in args.parts):
             args.parser.error(f"argument --corrupt: no part in --parts reads {args.corrupt}")
+    if args.command == "spectrum" and args.flavor == "all":
+        # the coarse grid of the Richardson pair has M//2 cells, one level each
+        m = sp.ISOSPECTRAL_GRID if args.grid is None else args.grid
+        if args.levels > m // 2:
+            args.parser.error(f"argument --levels: {args.levels} levels exceed the {m // 2} "
+                              f"cells of the coarse grid, M//2 for --grid M = {m}")
     handlers = {
         "verify": cmd_verify,
         "spectrum": cmd_spectrum,

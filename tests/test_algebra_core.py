@@ -365,6 +365,24 @@ def test_jacobi_identity_randomized():
         assert jac.is_zero()
 
 
+def test_commutator_is_the_product_difference():
+    # commutator forms only the push-through terms; its normal form must be
+    # that of the full difference of the two products
+    rng = random.Random(16)
+    for nq in (2, 3):
+        fixed = [parse(t, nq) for t in ("q1^2/D + 3*lambda", "p1*q2/D^2 - i*hbar*p2^2",
+                                        f"q{nq}*p1*p{nq}/D + q1")]
+        assert all((0,) * nq in x.terms for x in fixed)
+        assert all(any(c.dpow for c in x.terms.values()) for x in fixed)
+        ops = fixed + [_random_operator(rng, nq) for _ in range(5)]
+        for a in ops:
+            assert a.commutator(a).is_zero()
+            for b in ops:
+                ab = a.commutator(b)
+                assert ab == a * b - b * a
+                assert b.commutator(a) == -ab
+
+
 def _stored(x):
     """The terms of x as stored, before any canonical form is taken."""
     return {alpha: (c.num, c.dpow) for alpha, c in x.terms.items()}

@@ -54,6 +54,23 @@ def test_verify_corrupt_fails(capsys):
     assert code == 1 and json.loads(out)["corrupt"] == "I11"
 
 
+GOLDEN_RESIDUALS = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text())["residuals"]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_RESIDUALS))
+def test_corrupt_residuals_match_golden_text(capsys, key):
+    # each mutation control fails with exactly the recorded residuals, so a
+    # change to normal ordering or printing cannot go unseen
+    flavor, dim, label = key.split("/")
+    code, out = run_cli(capsys, "verify", "--dim", dim, "--flavor", flavor,
+                        "--corrupt", label, "--no-timestamp")
+    assert code == 1
+    nonzero = [{"lhs": c["lhs"], "rhs": c["rhs"], "residual": c["residual"]}
+               for c in json.loads(out)["checks"] if not c["commutator_zero"]]
+    assert nonzero == GOLDEN_RESIDUALS[key]
+
+
 BAD_FLAGS = (
     ["verify", "--dim", "7"],
     ["verify", "--dim", "6"],
@@ -69,6 +86,12 @@ BAD_FLAGS = (
     ["spectrum", "--levels", "0"],
     ["classical", "--t-end", "-1"],
     ["classical", "--t-end", "0"],
+    # below solve_ivp's floor of 100 machine epsilons, which it would raise
+    # the tolerance to with a warning
+    ["classical", "--tolerance", "1e-300", "--t-end", "1"],
+    # more levels than the coarse grid M//2 of the isospectral pair has cells
+    ["spectrum", "--flavor", "all", "--levels", "2000"],
+    ["spectrum", "--flavor", "all", "--grid", "100", "--levels", "60"],
     ["verify", "--corrupt", "XYZ"],
     ["verify", "--dim", "2", "--corrupt", "I33"],
     # no selected part reads the corrupted entry (ii reads the diagonal only)
@@ -99,10 +122,12 @@ def test_verify_bad_flags_exit_2(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         err = capsys.readouterr().err
-        assert "usage:" in err and "Traceback" not in err, argv
-        if "--corrupt" in argv:
-            # the label is checked after parsing, but reported by verify's own parser
-            assert err.startswith("usage: darboux3 verify"), argv
+        assert "usage:" in err and "Traceback" not in err and "Warning" not in err, argv
+        if "--corrupt" in argv or "all" in argv:
+            # checked after parsing, but reported by the command's own parser
+            assert err.startswith(f"usage: darboux3 {argv[0]}"), argv
+        if "all" in argv:
+            assert "argument --levels" in err and "--grid M = " in err, argv
 
 
 def test_readme_names_the_report_schema():
@@ -133,17 +158,26 @@ def test_spectrum_landmark_value_and_exit(capsys, tmp_path):
     assert rep["max_rel_mismatch"] <= 1e-5
 
 
+def _csv_of(header, rows):
+    """The CSV text of a header and rows of ints and floats (str is repr)."""
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+
+
 def test_spectrum_flat_ladder_csv(capsys, tmp_path):
     out_path = tmp_path / "spec.csv"
-    code, _ = run_cli(
-        capsys, "spectrum", "--lambda", "0", "--levels", "4",
-        "--format", "csv", "--out", str(out_path), "--no-timestamp",
-    )
+    argv = ("spectrum", "--lambda", "0", "--levels", "4", "--no-timestamp")
+    code, _ = run_cli(capsys, *argv, "--format", "csv", "--out", str(out_path))
     assert code == 0
-    lines = out_path.read_text().strip().splitlines()
+    text = out_path.read_text()
+    lines = text.strip().splitlines()
     assert lines[0] == "n_r,n,E_numeric,E_closed,abs_residual,rel_residual"
     first = lines[1].split(",")
     assert float(first[3]) == pytest.approx(1.5)
+    # byte for byte the JSON report's level table, on stdout as in --out
+    header = lines[0].split(",")
+    _, out = run_cli(capsys, *argv)
+    assert text == _csv_of(header, [[lv[h] for h in header] for lv in json.loads(out)["levels"]])
+    assert run_cli(capsys, *argv, "--format", "csv") == (0, text)
 
 
 def test_spectrum_wavefunction_export(capsys, tmp_path):
@@ -209,15 +243,20 @@ def test_spectrum_all_flavors_default_grid(capsys):
 
 
 def test_spectrum_all_flavors(capsys):
-    code, out = run_cli(
-        capsys, "spectrum", "--flavor", "all", "--dim", "3", "--l", "0",
-        "--lambda", "0.02", "--levels", "4", "--no-timestamp",
-    )
+    argv = ("spectrum", "--flavor", "all", "--dim", "3", "--l", "0",
+            "--lambda", "0.02", "--levels", "4", "--no-timestamp")
+    code, out = run_cli(capsys, *argv)
     assert code == 0
     rep = json.loads(out)
     assert rep["isospectral"] is True
     assert rep["max_pairwise_rel"] <= 1e-8
     assert set(rep["levels"]) == {"schrodinger", "tlb", "tpdm"}
+    # --format csv writes the same levels, byte for byte in repr
+    flavors = ("schrodinger", "tlb", "tpdm")
+    rows = [(nr, 2 * nr, e, *(rep["levels"][f][nr] for f in flavors))
+            for nr, e in enumerate(rep["levels_closed_form"])]
+    assert run_cli(capsys, *argv, "--format", "csv") == (
+        0, _csv_of(("n_r", "n", "E_closed", *flavors), rows))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
@@ -433,8 +472,8 @@ def _cli_calls(out_dir):
         seed,
         out,
     ), [("--t-end", "0"), ("--t-end", "-1"), ("--t-end", "inf"), ("--dim", "1"),
-        ("--lambda", "-0.1"), ("--omega", "0"), ("--tolerance", "0"), ("--seed", "x"),
-        ("--format", "csv")])
+        ("--lambda", "-0.1"), ("--omega", "0"), ("--tolerance", "0"), ("--tolerance", "1e-300"),
+        ("--seed", "x"), ("--format", "csv")])
     figures = command("figures", (
         st.sampled_from("12345").map(lambda w: ("--which", w)),
         st.sampled_from((out_dir / "figures", out_dir / "report" / "sub")).map(
