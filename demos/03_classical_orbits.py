@@ -68,11 +68,10 @@ print(f"involutive set {involutive}:")
 print(f"  rank = {cl.independence_rank(params, state, names=involutive)} (N = 3)\n")
 
 print("=" * 70)
-print("6. Hyperspherical reduction sanity")
+print("6. Radial reduction sanity")
 print("=" * 70)
-r, angles, p_r, p_angles = cl.hyperspherical_transform(state)
-lsq = cl.angular_momentum_squared(angles, p_angles)
-inv = cl.classical_invariants(params, state)
-print(f"p^2 == p_r^2 + L^2/r^2 : {state.p @ state.p:.12f} == {p_r**2 + lsq/r**2:.12f}")
-print(f"L^2 == C_(N)           : {lsq:.12f} == {inv['C^(3)']:.12f}")
+r = np.linalg.norm(state.q)
+p_r = (state.q @ state.p) / r  # radial momentum q.p/|q|
+lsq = cl.classical_invariants(params, state)["C^(3)"]  # L^2 = C^(N)
+print(f"p^2 == p_r^2 + C^(N)/r^2 : {state.p @ state.p:.12f} == {p_r**2 + lsq/r**2:.12f}")
 print(f"triple Hamiltonian equality holds: {cl.radial_reduction_check(params, state)}")

@@ -28,9 +28,9 @@ from scipy.optimize import minimize_scalar
 
 from .algebra import (build_angular_invariants, build_fradkin, build_hamiltonian,
                       symbol_gradients)
-from .model import continuum_threshold, effective_frequency
+from .model import (bracketed_newton, classical_effective_potential, continuum_threshold,
+                    effective_frequency)
 
-AXIS_MARGIN = 1e-3
 CLOSURE_THRESHOLD = 1e-4
 
 
@@ -190,11 +190,11 @@ def exact_state(params, initial, t):
         t - t0 = tau + lambda [ |q0|^2 c s + (q0.p0) s^2 + H (tau - c s)/Omega^2 ],
 
     c = cos(Omega tau), s = sin(Omega tau)/Omega.  It is increasing in tau
-    (dt/d tau = D >= 1), so every element is solved by bracketed Newton
-    iteration, with bisection safeguarding, until |t(tau) - t| <=
-    1e-13*(1 + |t - t0|).  A float t gives a PhaseState, an ndarray of shape
-    (T,) gives an ndarray of shape (2N, T).  Raises ValueError for unbounded
-    motion (H at or above the continuum threshold).
+    (dt/d tau = D >= 1), so every element is solved by model.bracketed_newton
+    until |t(tau) - t| <= 1e-13*(1 + |t - t0|).  A float t gives a
+    PhaseState, an ndarray of shape (T,) gives an ndarray of shape (2N, T).
+    Raises ValueError for unbounded motion (H at or above the continuum
+    threshold).
     """
     energy = classical_hamiltonian(params, initial)
     if energy >= continuum_threshold(params):
@@ -204,24 +204,21 @@ def exact_state(params, initial, t):
     qq0, qp0, pp0 = q0 @ q0, q0 @ p0, p0 @ p0
     lam = params.lam
     elapsed = np.asarray(t, dtype=float) - initial.t
-    # t(tau) - tau has the sign of tau, so tau lies between 0 and t - t0
-    lo, hi = np.minimum(elapsed, 0.0), np.maximum(elapsed, 0.0)
-    tau = elapsed / (1.0 + lam * energy / om**2)  # the secular part of t(tau)
-    target = 1e-13 * (1.0 + np.abs(elapsed))
-    active = np.ones(elapsed.shape, dtype=bool)
-    for _ in range(100):
+
+    def residual(tau):
         c, s = np.cos(om * tau), np.sin(om * tau) / om
         f = tau + lam * (qq0 * c * s + qp0 * s * s + energy * (tau - c * s) / om**2) - elapsed
-        active &= ~(np.abs(f) <= target)
-        if not active.any():
-            break
-        hi = np.where(f > 0, tau, hi)
-        lo = np.where(f > 0, lo, tau)
-        step = tau - f / (1.0 + lam * (qq0 * c * c + 2.0 * qp0 * c * s + pp0 * s * s))
-        step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-        tau = np.where(active, step, tau)
-    else:
+        return f, 1.0 + lam * (qq0 * c * c + 2.0 * qp0 * c * s + pp0 * s * s)
+
+    # t(tau) - tau has the sign of tau, so tau lies between 0 and t - t0;
+    # the first guess inverts the secular part of t(tau)
+    tau, failed = bracketed_newton(
+        residual, elapsed / (1.0 + lam * energy / om**2),
+        np.minimum(elapsed, 0.0), np.maximum(elapsed, 0.0), 1e-13 * (1.0 + np.abs(elapsed)),
+    )
+    if failed.any():
         raise RuntimeError("exact_state: time inversion did not converge")
+    c, s = np.cos(om * tau), np.sin(om * tau) / om
     q = np.multiply.outer(q0, c) + np.multiply.outer(p0, s)
     p = np.multiply.outer(p0, c) - om * om * np.multiply.outer(q0, s)
     if elapsed.ndim == 0:
@@ -365,8 +362,9 @@ def independence_rank(params, state, names=None):
 
 
 def random_state(params, rng, dim, bounded=True):
-    """Random phase-space point from the unit ball, rejecting near-axis
-    configurations so hyperspherical charts stay well conditioned."""
+    """Random phase-space point with q and p uniform on the cube [-1, 1]^N,
+    redrawn while |q| or |p| is below 0.2 and, when ``bounded``, while H is
+    at or above 0.9 times the continuum threshold."""
     threshold = continuum_threshold(params)
     for _ in range(1000):
         q = rng.uniform(-1.0, 1.0, dim)
@@ -374,112 +372,22 @@ def random_state(params, rng, dim, bounded=True):
         if np.linalg.norm(q) < 0.2 or np.linalg.norm(p) < 0.2:
             continue
         state = PhaseState(q=q, p=p)
-        try:
-            _, angles, _, _ = hyperspherical_transform(state)
-        except ValueError:
-            continue
-        if any(abs(math.sin(t)) < AXIS_MARGIN for t in angles[:-1]):
-            continue
         if bounded and classical_hamiltonian(params, state) >= 0.9 * threshold:
             continue
         return state
     raise RuntimeError("failed to sample a generic state")
 
 
-def _chart_jacobian(r, angles):
-    """d q / d(r, theta) for the nested polar chart.
-
-    q_j is r times a product of chart factors: sin(theta_k) for k < j and,
-    for j < N-1, a trailing cos(theta_j).  Each derivative just swaps one
-    factor, so entries are built as explicit products (no sine divisions).
-    """
-    n = len(angles) + 1
-    sines = np.sin(angles)
-    cosines = np.cos(angles)
-
-    def unit_coord(j, swap=None):
-        # q_j / r, with the theta_swap factor differentiated when requested
-        val = 1.0
-        for k in range(j):
-            val *= cosines[k] if k == swap else sines[k]
-        if j < n - 1:
-            val *= -sines[j] if j == swap else cosines[j]
-        return val
-
-    jac = np.zeros((n, n))
-    for j in range(n):
-        jac[j, 0] = unit_coord(j)
-        for a in range(min(j + 1, n - 1)):
-            jac[j, a + 1] = r * unit_coord(j, swap=a)
-    return jac
-
-
-def hyperspherical_transform(state):
-    """Cartesian (q, p) -> (r, angles, p_r, p_angles) for the nested chart
-
-        q_j = r cos(theta_j) prod_{k<j} sin(theta_k)   (j < N),
-        q_N = r prod_{k<N} sin(theta_k),
-
-    with momenta mapped canonically via the chart Jacobian.  States too close
-    to a coordinate axis (|sin theta_k| tiny for k < N-1, or r = 0) are
-    rejected.
-    """
-    q, p = state.q, state.p
-    n = q.size
-    r = float(np.linalg.norm(q))
-    if r <= 0:
-        raise ValueError("hyperspherical chart undefined at the origin")
-    angles = np.empty(n - 1)
-    tail = r
-    for j in range(n - 2):
-        c = q[j] / tail
-        c = min(1.0, max(-1.0, c))
-        angles[j] = math.acos(c)
-        tail = tail * math.sin(angles[j])
-        if tail <= 1e-14 * r:
-            raise ValueError("state too close to a coordinate axis")
-    angles[n - 2] = math.atan2(q[n - 1], q[n - 2])
-    jac = _chart_jacobian(r, angles)
-    p_new = jac.T @ p
-    return r, angles, float(p_new[0]), p_new[1:]
-
-
-def inverse_hyperspherical(r, angles, p_r, p_angles):
-    """Inverse of hyperspherical_transform."""
-    angles = np.asarray(angles, dtype=float)
-    n = angles.size + 1
-    q = np.empty(n)
-    for j in range(n):
-        val = r
-        for k in range(j):
-            val *= math.sin(angles[k])
-        if j < n - 1:
-            val *= math.cos(angles[j])
-        q[j] = val
-    jac = _chart_jacobian(r, angles)
-    p_new = np.concatenate([[p_r], np.asarray(p_angles, dtype=float)])
-    p = np.linalg.solve(jac.T, p_new)
-    return PhaseState(q=q, p=p)
-
-
-def angular_momentum_squared(angles, p_angles):
-    """L^2 = sum_j p_theta_j^2 prod_{k<j} 1/sin^2 theta_k."""
-    total = 0.0
-    weight = 1.0
-    for j in range(len(p_angles)):
-        total += p_angles[j] ** 2 * weight
-        weight /= math.sin(angles[j]) ** 2
-    return total
-
-
 def radial_reduction_check(params, state, tol=1e-12):
-    """Triple equality of the Hamiltonian in Cartesian, hyperspherical and
-    flattened-coordinate form; returns True within tolerance."""
-    from .model import classical_effective_potential
-
+    """Triple equality of the Hamiltonian in Cartesian, spherical and
+    flattened-coordinate form, with the radial momentum p_r = q.p/|q| and
+    L^2 = C^(N); returns True within tolerance."""
     h_cart = classical_hamiltonian(params, state)
-    r, angles, p_r, p_angles = hyperspherical_transform(state)
-    lsq = angular_momentum_squared(angles, p_angles)
+    r = float(np.linalg.norm(state.q))
+    if r <= 0:
+        raise ValueError("no radial momentum at the origin")
+    p_r = float(state.q @ state.p) / r
+    lsq = classical_invariants(params, state)[f"C^({state.dim})"]
     d = 1.0 + params.lam * r * r
     h_sph = (p_r**2 + lsq / r**2) / (2.0 * d) + params.omega**2 * r**2 / (2.0 * d)
     p_flat = p_r / math.sqrt(d)

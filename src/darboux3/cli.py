@@ -1,10 +1,10 @@
 """Command-line interface: verify / spectrum / classical / figures.
 
 Exit codes are the single source of pass/fail truth: 0 on success, 1 when a
-verification or tolerance fails, an output file cannot be written or the
-floating-point arithmetic breaks down (say, --omega 1e-300, reported against
-the most extreme scale flag), 2 on bad flags
-(argparse's own convention).
+verification or tolerance fails, an output file cannot be written, an array
+cannot be allocated (say, a huge --grid) or the floating-point arithmetic
+breaks down (say, --omega 1e-300, reported against the command's most extreme
+scale flag), 2 on bad flags (argparse's own convention).
 Reports go to --out when given, otherwise to stdout; identical flags and seed
 reproduce byte-identical output under --no-timestamp.
 """
@@ -179,22 +179,23 @@ def cmd_verify(args):
     return 0 if body["all_zero"] else 1
 
 
-def _extreme_scale(args):
-    """(flag, value) of the spectrum scale flag furthest from 1 in orders of
-    magnitude: the one a floating-point breakdown is reported against."""
-    scales = {"--lambda": args.lam, "--omega": args.omega, "--hbar": args.hbar, "--qmax": args.qmax}
-    return max(((f, v) for f, v in scales.items() if v), key=lambda fv: abs(math.log10(fv[1])))
+def _float_guarded(run, args, scales):
+    """run(args) with numpy raising at the first overflow, division by zero or
+    invalid value, where it would warn and carry inf or nan on.  A breakdown
+    is reported against the flag of ``scales`` ({flag: value}, the command's
+    scale flags) furthest from 1 in orders of magnitude."""
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return run(args)
+    except ArithmeticError as exc:
+        flag, value = max(((f, v) for f, v in scales.items() if v),
+                          key=lambda fv: abs(math.log10(fv[1])))
+        raise ArithmeticError(f"{flag} {value:g} is out of range for floating point ({exc})") from None
 
 
 def cmd_spectrum(args):
-    # numpy would warn and carry inf or nan into the eigensolver; stop at the
-    # first overflow, division by zero or invalid value instead
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return _spectrum(args)
-    except ArithmeticError as exc:
-        flag, value = _extreme_scale(args)
-        raise ArithmeticError(f"{flag} {value:g} is out of range for floating point ({exc})") from None
+    scales = {"--lambda": args.lam, "--omega": args.omega, "--hbar": args.hbar, "--qmax": args.qmax}
+    return _float_guarded(_spectrum, args, scales)
 
 
 def _spectrum(args):
@@ -257,6 +258,10 @@ def _spectrum(args):
 
 
 def cmd_classical(args):
+    return _float_guarded(_classical, args, {"--lambda": args.lam, "--omega": args.omega})
+
+
+def _classical(args):
     params = ModelParams(dim=args.dim, lam=args.lam, omega=args.omega)
     rng = np.random.default_rng(args.seed)
     state = cl.random_state(params, rng, args.dim)
@@ -381,7 +386,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

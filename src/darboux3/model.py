@@ -103,13 +103,35 @@ def flattening_coordinate(params, r):
     return float(q) if np.ndim(q) == 0 else q
 
 
+def bracketed_newton(residual, x, lo, hi, target):
+    """Root of an increasing function, elementwise on an ndarray (0-d included).
+
+    ``residual(x)`` returns (f, df/dx) and lo <= root <= hi brackets every
+    element.  Newton iteration, with a bisection of the bracket whenever a
+    step leaves it, runs on every element at once; an element stops updating
+    once |f| <= target, its own tolerance.  Returns (x, failed), ``failed``
+    the mask of the elements still unconverged after 100 iterations.
+    """
+    active = np.ones(np.shape(x), dtype=bool)
+    for _ in range(100):
+        f, slope = residual(x)
+        active &= ~(np.abs(f) <= target)  # a nan never meets the rule
+        if not active.any():
+            break
+        hi = np.where(f > 0, x, hi)
+        lo = np.where(f > 0, lo, x)
+        step = x - f / slope
+        step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+        x = np.where(active, step, x)
+    return x, active
+
+
 def inverse_flattening(params, q):
     """Inverse of the flattening coordinate: the r >= 0 with Q(r) = q.
 
-    q may be a scalar (a float is returned) or an ndarray.  Bracketed Newton
-    iteration (dQ/dr = sqrt(D) >= 1) with bisection safeguarding runs on every
-    element at once, each with its own bracket; an element stops updating
-    once |Q(r) - q| <= INVERSE_TOL*(1 + |q|).
+    q may be a scalar (a float is returned) or an ndarray.  Every element is
+    solved by bracketed_newton (dQ/dr = sqrt(D) >= 1) until
+    |Q(r) - q| <= INVERSE_TOL*(1 + |q|).
     """
     q_arr = np.asarray(q, dtype=float)
     if np.any(q_arr < 0):
@@ -118,22 +140,15 @@ def inverse_flattening(params, q):
     if lam == 0:
         return float(q_arr) if q_arr.ndim == 0 else q_arr.copy()
     # Q(r) >= r, so r = q is an upper bound and 2q + 1 brackets the root
-    lo, hi = np.zeros_like(q_arr), 2.0 * q_arr + 1.0
-    r = q_arr.copy()
-    target = INVERSE_TOL * (1.0 + np.abs(q_arr))
-    active = np.ones(q_arr.shape, dtype=bool)
-    for _ in range(100):
-        f = flattening_coordinate(params, r) - q_arr
-        active &= ~(np.abs(f) <= target)  # a nan never meets the rule
-        if not active.any():
-            return float(r) if r.ndim == 0 else r
-        hi = np.where(f > 0, r, hi)
-        lo = np.where(f > 0, lo, r)
-        r_new = r - f / np.sqrt(1.0 + lam * r * r)
-        r_new = np.where((lo < r_new) & (r_new < hi), r_new, 0.5 * (lo + hi))
-        r = np.where(active, r_new, r)
-    bad = float(q_arr[active][0])
-    raise FlatteningError(f"inverse flattening failed to converge for Q={bad!r}")
+    r, failed = bracketed_newton(
+        lambda r: (flattening_coordinate(params, r) - q_arr, np.sqrt(1.0 + lam * r * r)),
+        q_arr.copy(), np.zeros_like(q_arr), 2.0 * q_arr + 1.0,
+        INVERSE_TOL * (1.0 + np.abs(q_arr)),
+    )
+    if failed.any():
+        bad = float(q_arr[failed][0])
+        raise FlatteningError(f"inverse flattening failed to converge for Q={bad!r}")
+    return float(r) if r.ndim == 0 else r
 
 
 def classical_effective_potential(params, c_n, r):

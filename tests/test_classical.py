@@ -210,49 +210,27 @@ def test_independence_ranks():
     assert cl.independence_rank(p2, st2) == 3
 
 
-def test_hyperspherical_roundtrip_and_identities():
-    rng = np.random.default_rng(37)
-    for _ in range(6):
-        st = cl.random_state(PARAMS, rng, 3)
-        r, ang, pr, pang = cl.hyperspherical_transform(st)
-        back = cl.inverse_hyperspherical(r, ang, pr, pang)
-        assert np.allclose(back.q, st.q, atol=1e-12)
-        assert np.allclose(back.p, st.p, atol=1e-12)
-        lsq = cl.angular_momentum_squared(ang, pang)
-        assert st.p @ st.p == pytest.approx(pr**2 + lsq / r**2, rel=1e-12)
-        inv = cl.classical_invariants(PARAMS, st)
-        assert inv["C^(3)"] == pytest.approx(lsq, rel=1e-12)
-
-
-def test_hyperspherical_n2_convention():
-    # q on the first axis: theta = 0, p_r = p1, p_theta = r*p2
-    st = cl.PhaseState(q=np.array([2.0, 0.0]), p=np.array([0.3, -0.4]))
-    r, ang, pr, pang = cl.hyperspherical_transform(st)
-    assert r == pytest.approx(2.0)
-    assert ang[0] == pytest.approx(0.0)
-    assert pr == pytest.approx(0.3)
-    assert pang[0] == pytest.approx(2.0 * -0.4)
-
-
-def test_hyperspherical_rejects_origin_and_axis():
-    with pytest.raises(ValueError):
-        cl.hyperspherical_transform(cl.PhaseState(q=np.zeros(3), p=np.ones(3)))
-    axis = cl.PhaseState(q=np.array([1.0, 0.0, 0.0]), p=np.ones(3))
-    with pytest.raises(ValueError):
-        cl.hyperspherical_transform(axis)
-
-
 def test_radial_reduction_triple_equality():
     rng = np.random.default_rng(41)
-    for _ in range(5):
-        st = cl.random_state(PARAMS, rng, 3)
-        assert cl.radial_reduction_check(PARAMS, st)
-    flat = ModelParams(dim=3, lam=0.0)
-    st = cl.random_state(flat, rng, 3, bounded=False)
-    assert cl.radial_reduction_check(flat, st)
-    # radial state: vanishing angular momentum
-    radial = cl.PhaseState(q=np.array([0.7, 0.7, 0.1]), p=np.array([0.7, 0.7, 0.1]))
-    assert cl.radial_reduction_check(PARAMS, radial)
+    for dim in (2, 3, 4, 5):
+        params, flat = ModelParams(dim=dim, lam=0.02), ModelParams(dim=dim, lam=0.0)
+        for _ in range(5):
+            st = cl.random_state(params, rng, dim)
+            assert cl.radial_reduction_check(params, st)
+            # p^2 = p_r^2 + L^2/r^2 with p_r = q.p/|q|, and L^2 = C^(N)
+            r = np.linalg.norm(st.q)
+            p_r = (st.q @ st.p) / r
+            lsq = sum((st.q[i] * st.p[j] - st.q[j] * st.p[i]) ** 2
+                      for i in range(dim) for j in range(i + 1, dim))
+            assert st.p @ st.p == pytest.approx(p_r**2 + lsq / r**2, rel=1e-12)
+            assert cl.classical_invariants(params, st)[f"C^({dim})"] == pytest.approx(lsq, rel=1e-12)
+        st = cl.random_state(flat, rng, dim, bounded=False)
+        assert cl.radial_reduction_check(flat, st)
+        # radial state: vanishing angular momentum
+        radial = cl.PhaseState(q=np.linspace(0.7, 0.1, dim), p=np.linspace(0.7, 0.1, dim))
+        assert cl.radial_reduction_check(params, radial)
+        with pytest.raises(ValueError):
+            cl.radial_reduction_check(params, cl.PhaseState(q=np.zeros(dim), p=np.ones(dim)))
 
 
 def _reference_gradient(fun, state, h=1e-6):

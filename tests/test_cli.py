@@ -358,28 +358,40 @@ def test_unwritable_output_paths_exit_1(capsys, tmp_path):
     ["spectrum", "--omega", "1e-300"],
     ["spectrum", "--qmax", "1e-300"],
     ["spectrum", "--flavor", "all", "--omega", "1e-200"],
+    # the grid arrays would need hundreds of PiB, beyond any address space,
+    # so the allocation fails at once without touching memory
+    ["spectrum", "--grid", "100000000000000000"],
+    ["spectrum", "--grid", "100000000000000000", "--flavor", "all"],
 ))
 def test_float_breakdown_exits_1(capsys, argv):
-    # valid flags whose grid or tail radius divides by zero in float arithmetic
+    # valid flags whose grid or tail radius divides by zero in float
+    # arithmetic, or whose grid cannot be allocated
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag, value, shown", (
-    pytest.param("--qmax", "1e-300", "1e-300", id="--qmax"),
-    pytest.param("--omega", "1e-300", "1e-300", id="--omega"),
+@pytest.mark.parametrize("command, flag, value, shown, extra", (
+    pytest.param("spectrum", "--qmax", "1e-300", "1e-300", (), id="--qmax"),
+    pytest.param("spectrum", "--omega", "1e-300", "1e-300", (), id="--omega"),
     # these two break down inside the inverse flattening iteration
-    pytest.param("--hbar", "1e300", "1e+300", id="--hbar-1e300"),
-    pytest.param("--omega", "1e-150", "1e-150", id="--omega-1e-150"),
+    pytest.param("spectrum", "--hbar", "1e300", "1e+300", (), id="--hbar-1e300"),
+    pytest.param("spectrum", "--omega", "1e-150", "1e-150", (), id="--omega-1e-150"),
+    # omega**2 overflows a Python float in the continuum threshold
+    pytest.param("classical", "--omega", "1e200", "1e+200", (), id="classical--omega-1e200"),
+    # omega**2 underflows to 0, and exact_state divides by it
+    pytest.param("classical", "--omega", "1e-200", "1e-200", ("--lambda", "0"),
+                 id="classical--omega-1e-200"),
+    # inside the integrator, which would warn and then abort
+    pytest.param("classical", "--omega", "1e150", "1e+150", (), id="classical--omega-1e150"),
 ))
-def test_float_breakdown_names_the_flag_without_warnings(flag, value, shown):
+def test_float_breakdown_names_the_flag_without_warnings(command, flag, value, shown, extra):
     # in a fresh interpreter, because pytest would capture numpy's warnings
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     env.pop("PYTHONWARNINGS", None)
     proc = subprocess.run(
-        [sys.executable, "-m", "darboux3", "spectrum", flag, value, "--no-timestamp"],
+        [sys.executable, "-m", "darboux3", command, flag, value, *extra, "--no-timestamp"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 1

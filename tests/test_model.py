@@ -8,6 +8,7 @@ import pytest
 from darboux3.model import (
     EffectiveMinimum,
     ModelParams,
+    bracketed_newton,
     classical_effective_minimum,
     classical_effective_potential,
     closed_form_energy,
@@ -137,6 +138,22 @@ def test_inverse_flattening_edge_entries_and_types():
     for q in (2.0, np.float64(2.0), 0.0, 3):
         assert type(inverse_flattening(params, q)) is float
         assert type(inverse_flattening(flat, q)) is float
+
+
+def test_bracketed_newton_bisects_when_a_step_leaves_the_bracket():
+    # plain Newton on arctan(x) - 1/2 diverges from |x| above about 1.4
+    def residual(x):
+        return np.arctan(x) - 0.5, 1.0 / (1.0 + x * x)
+
+    x, failed = bracketed_newton(residual, np.array([10.0, -30.0, 0.0]),
+                                 np.full(3, -50.0), np.full(3, 50.0), np.array([1e-15, 1e-15, 1e-3]))
+    assert not failed.any()
+    assert np.all(np.abs(np.arctan(x) - 0.5) <= [1e-15, 1e-15, 1e-3])
+    # 0-d input, and an element that never converges is flagged, not raised
+    x, failed = bracketed_newton(residual, np.asarray(2.0), -50.0, 50.0, 1e-15)
+    assert x.ndim == 0 and not failed and abs(np.arctan(x) - 0.5) <= 1e-15
+    x, failed = bracketed_newton(residual, np.array([1.0, np.nan]), -50.0, 50.0, 1e-15)
+    assert failed.tolist() == [False, True] and abs(np.arctan(x[0]) - 0.5) <= 1e-15
 
 
 def test_quantum_effective_potential_accepts_arrays():
