@@ -141,7 +141,8 @@ def test_inverse_flattening_edge_entries_and_types():
 
 
 def test_bracketed_newton_bisects_when_a_step_leaves_the_bracket():
-    # plain Newton on arctan(x) - 1/2 diverges from |x| above about 1.4
+    # from x = 10 or -30 a plain Newton step on arctan(x) - 1/2 lands far
+    # outside [-50, 50]
     def residual(x):
         return np.arctan(x) - 0.5, 1.0 / (1.0 + x * x)
 
