@@ -190,7 +190,9 @@ def _float_guarded(run, args, scales):
     except ArithmeticError as exc:
         flag, value = max(((f, v) for f, v in scales.items() if v),
                           key=lambda fv: abs(math.log10(fv[1])))
-        raise ArithmeticError(f"{flag} {value:g} is out of range for floating point ({exc})") from None
+        # float ** raises OverflowError(errno, message): quote the message alone
+        message = exc.args[-1] if exc.args else exc
+        raise ArithmeticError(f"{flag} {value:g} is out of range for floating point ({message})") from None
 
 
 def cmd_spectrum(args):
@@ -251,7 +253,7 @@ def _spectrum(args):
     body = rep.to_json()
     body["max_rel_mismatch"] = rep.max_rel_residual
     report = rp.make_report("spectrum", body, timestamp=not args.no_timestamp)
-    _emit(args, report, lambda: rp.dump_csv(rp.spectrum_csv_rows(rep.levels), rp.SPECTRUM_CSV_HEADER))
+    _emit(args, report, lambda: rp.dump_csv([lv.row() for lv in rep.levels], sp.LevelRecord.COLUMNS))
     if len(rep.levels) < k:
         return 1
     return 0 if rep.max_rel_residual <= SPECTRUM_TOLERANCE else 1

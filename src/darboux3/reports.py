@@ -67,17 +67,6 @@ def dump_csv(rows, header, path=None):
     return text
 
 
-def spectrum_csv_rows(levels):
-    """Rows for the spectrum CSV schema (n_r, n, E_numeric, E_closed, residuals)."""
-    return [
-        (lv.n_r, lv.n, lv.e_numeric, lv.e_closed, lv.abs_residual, lv.rel_residual)
-        for lv in levels
-    ]
-
-
-SPECTRUM_CSV_HEADER = ("n_r", "n", "E_numeric", "E_closed", "abs_residual", "rel_residual")
-
-
 def trajectory_csv(record, path=None):
     """Trajectory CSV: t, q1..qN, p1..pN."""
     dim = record.y.shape[0] // 2

@@ -85,17 +85,17 @@ class RadialProblem:
         if self.flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
 
-    def centrifugal_eigenvalue(self):
-        """Exact angular eigenvalue l(l+N-2)."""
-        return self.l * (self.l + self.params.dim - 2)
-
 
 @dataclass
 class LevelRecord:
+    """One bound level; row(), named by COLUMNS, is its JSON record and CSV row."""
+
     n_r: int
     n: int
     e_numeric: float
     e_closed: float
+
+    COLUMNS = ("n_r", "n", "E_numeric", "E_closed", "abs_residual", "rel_residual")
 
     @property
     def abs_residual(self):
@@ -105,15 +105,11 @@ class LevelRecord:
     def rel_residual(self):
         return self.abs_residual / abs(self.e_closed)
 
+    def row(self):
+        return (self.n_r, self.n, self.e_numeric, self.e_closed, self.abs_residual, self.rel_residual)
+
     def to_json(self):
-        return {
-            "n_r": self.n_r,
-            "n": self.n,
-            "E_numeric": self.e_numeric,
-            "E_closed": self.e_closed,
-            "abs_residual": self.abs_residual,
-            "rel_residual": self.rel_residual,
-        }
+        return dict(zip(self.COLUMNS, self.row()))
 
 
 @dataclass
@@ -227,12 +223,12 @@ def effective_1d_problem(problem, m=None):
 
 def _grid_solve(problem, m, k, eigenvectors=False):
     """Lowest min(k, m) levels of the flux form on m cells: (values, vectors,
-    q_centres, r_centres), vectors (u at the centres) None unless asked for."""
-    diag, off, q, r = effective_1d_problem(problem, m=m)
+    r_centres), vectors (u at the centres) None unless asked for."""
+    diag, off, _q, r = effective_1d_problem(problem, m=m)
     result = eigh_tridiagonal(diag, off, select="i", select_range=(0, min(k, m) - 1),
                               eigvals_only=not eigenvectors)
     vals, vecs = result if eigenvectors else (result, None)
-    return vals, vecs, q, r
+    return vals, vecs, r
 
 
 def _richardson(coarse, fine, ratio):
@@ -276,7 +272,7 @@ def solve_bound_states(problem, k=6, eigenvectors=False):
     grid = problem.grid
     coarse_m = grid.m // 2
     coarse = _grid_solve(problem, coarse_m, k)[0]
-    fine, vecs, q, r = _grid_solve(problem, grid.m, k, eigenvectors)
+    fine, vecs, r = _grid_solve(problem, grid.m, k, eigenvectors)
     extrapolated = _richardson(coarse, fine[: coarse.size], grid.m / coarse_m)
     threshold = continuum_threshold(problem.params)
     trusted = extrapolated[extrapolated < (1.0 - THRESHOLD_MARGIN) * threshold]
@@ -296,7 +292,6 @@ def solve_bound_states(problem, k=6, eigenvectors=False):
         )
     if vecs is not None:
         report.eigenvectors = vecs[:, : len(report.levels)]
-        report.q_nodes = q
         report.r_nodes = r
     return report
 
@@ -371,9 +366,9 @@ def isospectrality_check(params, l, k=6, m=ISOSPECTRAL_GRID):
     Each flavor is solved on the grid pair (m//2, m) over one common box and
     Richardson-extrapolated.  Returns a dict with the per-flavor level
     arrays, the worst pairwise relative deviation, and a boolean verdict at
-    ISOSPECTRAL_TOLERANCE.  For N = 2 the schrodinger and tlb radial operators
-    are identical before discretization; this is asserted separately in
-    identical_radial_operators.
+    ISOSPECTRAL_TOLERANCE.  At N = 2 the schrodinger and tlb flavors coincide
+    (conjugation_exponent is 0 for both); the algebra engine proves
+    H_tlb = H exactly there.
     """
     r_max = 1.25 * gaussian_tail_radius(params, 2 * (k - 1) + l)
     levels = {
@@ -393,25 +388,6 @@ def isospectrality_check(params, l, k=6, m=ISOSPECTRAL_GRID):
         "max_pairwise_rel": worst,
         "agree": worst <= ISOSPECTRAL_TOLERANCE,
     }
-
-
-def identical_radial_operators(params, l):
-    """True when the schrodinger and tlb flavors have identical radial
-    Sturm-Liouville data on 97 sample radii in [0.1, 10].
-
-    In two dimensions the Laplace-Beltrami corrections vanish, so the two
-    problems coincide operator-by-operator.
-    """
-    r = np.linspace(0.1, 10.0, 97)
-    pa, wa = _sl_weights("schrodinger", r, params)
-    pb, wb = _sl_weights("tlb", r, params)
-    va = _sl_potential("schrodinger", r, params, l)
-    vb = _sl_potential("tlb", r, params, l)
-    return (
-        np.allclose(pa, pb, rtol=1e-15, atol=0)
-        and np.allclose(wa, wb, rtol=1e-15, atol=0)
-        and np.allclose(va, vb, rtol=1e-15, atol=0)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +447,9 @@ class CartesianEigenfunction:
 def eigenfunction_value(ef, q):
     """Evaluate the closed-form eigenfunction at one point or a batch.
 
-    q has shape (N,) or (batch, N); Hermite factors come from the recurrence,
-    and the flavor's factor D^a multiplies the flat product.
+    q has shape (N,) or (batch, N); the axis factors are those of
+    _axis_factor_derivatives, and the flavor's factor D^a multiplies their
+    product.
     """
     q = np.asarray(q, dtype=float)
     single = q.ndim == 1
@@ -480,9 +457,7 @@ def eigenfunction_value(ef, q):
     beta = ef.beta
     core = np.ones(pts.shape[0])
     for i, n_i in enumerate(ef.partition):
-        x = beta * pts[:, i]
-        h = hermite_values(n_i, x)[n_i]
-        core = core * np.exp(-0.5 * x * x) * h
+        core = core * _axis_factor_derivatives(n_i, beta, pts[:, i])[0]
     expo = conjugation_exponent(ef.flavor, ef.params.dim)
     if expo:
         d = 1.0 + ef.params.lam * np.sum(pts * pts, axis=1)

@@ -146,11 +146,7 @@ def test_criterion_5_isospectrality():
             out = sp.isospectrality_check(params, l, k=6)
             worst = max(worst, out["max_pairwise_rel"])
     # N=2: schrodinger and tlb operators identical before discretization
-    p2 = ModelParams(dim=2, lam=0.02)
-    identical = build_hamiltonian("schrodinger", 2) == build_hamiltonian("lb", 2)
-    identical = identical and all(
-        sp.identical_radial_operators(p2, l) for l in (0, 1, 2)
-    )
+    identical = build_hamiltonian("schrodinger", 2) == build_hamiltonian("tlb", 2)
     ok = worst <= 1e-8 and identical
     _report(
         5, ok,

@@ -38,6 +38,9 @@ def test_hamiltonian_text_form():
 def test_lb_equals_schrodinger_only_at_n2():
     assert build_hamiltonian("lb", 2) == build_hamiltonian("schrodinger", 2)
     assert build_hamiltonian("lb", 3) != build_hamiltonian("schrodinger", 3)
+    assert build_hamiltonian("tlb", 2) == build_hamiltonian("schrodinger", 2)
+    for nq in (3, 4, 5):
+        assert build_hamiltonian("tlb", nq) != build_hamiltonian("schrodinger", nq)
     assert potential_u1(2).is_zero()
     assert potential_u2(2).is_zero()
     assert not potential_v1(2).is_zero()  # PDM corrections survive at N=2

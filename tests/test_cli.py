@@ -180,6 +180,13 @@ def test_spectrum_flat_ladder_csv(capsys, tmp_path):
     assert run_cli(capsys, *argv, "--format", "csv") == (0, text)
 
 
+def test_spectrum_zero_levels_csv_is_the_header(capsys):
+    # at lambda = 10 every level lies within 5% of the threshold 0.05: none is
+    # trusted, so the CSV carries the header alone and the command fails
+    code, out = run_cli(capsys, "spectrum", "--lambda", "10", "--format", "csv", "--no-timestamp")
+    assert (code, out) == (1, "n_r,n,E_numeric,E_closed,abs_residual,rel_residual\n")
+
+
 def test_spectrum_wavefunction_export(capsys, tmp_path):
     wf = tmp_path / "wf.csv"
     argv = ("spectrum", "--dim", "3", "--l", "0", "--lambda", "0.02", "--levels", "3",
@@ -384,6 +391,9 @@ def test_float_breakdown_exits_1(capsys, argv):
                  id="classical--omega-1e-200"),
     # inside the integrator, which would warn and then abort
     pytest.param("classical", "--omega", "1e150", "1e+150", (), id="classical--omega-1e150"),
+    # a tie in orders of magnitude names the first scale flag
+    pytest.param("spectrum", "--lambda", "1e-300", "1e-300", ("--omega", "1e300"),
+                 id="--lambda-1e-300--omega-1e300"),
 ))
 def test_float_breakdown_names_the_flag_without_warnings(command, flag, value, shown, extra):
     # in a fresh interpreter, because pytest would capture numpy's warnings
@@ -397,6 +407,7 @@ def test_float_breakdown_names_the_flag_without_warnings(command, flag, value, s
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {flag} {shown} is out of range for floating point (")
     assert len(proc.stderr.splitlines()) == 1 and "Warning" not in proc.stderr
+    assert "((" not in proc.stderr
 
 
 def _exit_code(argv):

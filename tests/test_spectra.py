@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from darboux3.algebra import build_hamiltonian
 from darboux3.model import ModelParams, closed_form_energy, continuum_threshold
 from darboux3 import spectra as sp
 
@@ -23,7 +24,6 @@ def test_radial_problem_validation():
         sp.GridSpec(q_max=-1.0)
     with pytest.raises(ValueError):
         sp.GridSpec(q_max=10.0, m=10)
-    assert sp.RadialProblem(P001, l=2).centrifugal_eigenvalue() == 2 * 3
 
 
 def test_effective_problem_is_symmetric_and_located():
@@ -200,10 +200,8 @@ def test_isospectral_default_grid_margin(dim, l, lam, omega, hbar, k):
 
 
 def test_n2_schrodinger_tlb_identical_operators():
-    p2 = ModelParams(dim=2, lam=0.02)
-    assert sp.identical_radial_operators(p2, l=0)
-    assert sp.identical_radial_operators(p2, l=3)
-    assert not sp.identical_radial_operators(ModelParams(dim=3, lam=0.02), l=0)
+    assert build_hamiltonian("tlb", 2) == build_hamiltonian("schrodinger", 2)
+    assert build_hamiltonian("tlb", 3) != build_hamiltonian("schrodinger", 3)
 
 
 def test_flavor_wavefunction_relations():
