@@ -101,24 +101,34 @@ def classical_hamiltonian(params, state):
     return float(_energy(params, q @ q, p @ p))
 
 
-def _flow(params, q, p):
+def _rhs(params):
+    """The flow as the integrator's right-hand side f(t, z), z = (q, p):
+
+        dq/dt = p/D,  dp/dt = s q,  s = (lambda (p^2 + omega^2 q^2)/D - omega^2)/D.
+
+    It works on Python floats and returns a list, which solve_ivp converts:
+    on the 2N values of one call numpy's per-call overhead costs more than
+    the arithmetic.
+    """
     lam, om2 = params.lam, params.omega**2
-    d = 1.0 + lam * (q @ q)
-    e2 = p @ p + om2 * (q @ q)
-    return p / d, lam * q * e2 / d**2 - om2 * q / d
+
+    def rhs(_t, z):
+        z = z.tolist()
+        n = len(z) // 2
+        q, p = z[:n], z[n:]
+        qq = sum([x * x for x in q])
+        d = 1.0 + lam * qq
+        s = (lam * (sum([x * x for x in p]) + om2 * qq) / d - om2) / d
+        return [x / d for x in p] + [x * s for x in q]
+
+    return rhs
 
 
 def equations_of_motion(params, state):
-    """Canonical equations: dq/dt = p/D, dp/dt = lambda*q*(p^2+omega^2 q^2)/D^2 - omega^2 q/D."""
-    return _flow(params, state.q, state.p)
-
-
-def _rhs(params):
-    def rhs(_t, z):
-        n = z.size // 2
-        return np.concatenate(_flow(params, z[:n], z[n:]))
-
-    return rhs
+    """Canonical equations (dq/dt, dp/dt) = (dH/dp, -dH/dq) at a state, as
+    two arrays: the values of the integrator's right-hand side _rhs."""
+    z = _rhs(params)(state.t, state.as_vector())
+    return np.array(z[: state.dim]), np.array(z[state.dim :])
 
 
 def invariant_names(dim):

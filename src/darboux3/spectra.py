@@ -118,6 +118,10 @@ class SpectrumReport:
     levels: list = field(default_factory=list)
     threshold: float = math.inf
     warnings: list = field(default_factory=list)
+    # filled by solve_bound_states(..., eigenvectors=True): u at the fine
+    # grid's cell centres, one column per level, and the radii of the centres
+    eigenvectors: np.ndarray | None = None
+    r_nodes: np.ndarray | None = None
 
     @property
     def max_rel_residual(self):
@@ -448,8 +452,7 @@ def eigenfunction_value(ef, q):
     """Evaluate the closed-form eigenfunction at one point or a batch.
 
     q has shape (N,) or (batch, N); the axis factors are those of
-    _axis_factor_derivatives, and the flavor's factor D^a multiplies their
-    product.
+    _axis_factor, and the flavor's factor D^a multiplies their product.
     """
     q = np.asarray(q, dtype=float)
     single = q.ndim == 1
@@ -457,7 +460,7 @@ def eigenfunction_value(ef, q):
     beta = ef.beta
     core = np.ones(pts.shape[0])
     for i, n_i in enumerate(ef.partition):
-        core = core * _axis_factor_derivatives(n_i, beta, pts[:, i])[0]
+        core = core * _axis_factor(n_i, beta, pts[:, i])[0]
     expo = conjugation_exponent(ef.flavor, ef.params.dim)
     if expo:
         d = 1.0 + ef.params.lam * np.sum(pts * pts, axis=1)
@@ -465,17 +468,23 @@ def eigenfunction_value(ef, q):
     return float(core[0]) if single else core
 
 
-def _axis_factor_derivatives(n_i, beta, x):
-    """(phi, phi'') for phi(x) = exp(-beta^2 x^2/2) H_n(beta x), by the
-    derivative rule H_n' = 2n H_{n-1} applied twice (no oscillator identity
-    is used, so the residual check below stays independent)."""
+def _axis_factor(n_i, beta, x):
+    """phi(x) = exp(-beta^2 x^2/2) H_n(beta x), with the Gaussian and the
+    Hermite values H_0..H_n (at beta x) it is the product of."""
     xs = beta * x
     h = hermite_values(n_i, xs)
     gauss = np.exp(-0.5 * xs * xs)
+    return gauss * h[n_i], gauss, h
+
+
+def _axis_factor_derivatives(n_i, beta, x):
+    """(phi, phi'') for the _axis_factor phi, by the derivative rule
+    H_n' = 2n H_{n-1} applied twice (no oscillator identity is used, so the
+    residual check below stays independent)."""
+    phi, gauss, h = _axis_factor(n_i, beta, x)
     hn = h[n_i]
-    hm1 = h[n_i - 1] if n_i >= 1 else np.zeros_like(xs)
-    hm2 = h[n_i - 2] if n_i >= 2 else np.zeros_like(xs)
-    phi = gauss * hn
+    hm1 = h[n_i - 1] if n_i >= 1 else np.zeros_like(hn)
+    hm2 = h[n_i - 2] if n_i >= 2 else np.zeros_like(hn)
     b2 = beta * beta
     phi2 = gauss * (
         (b2 * b2 * x * x - b2) * hn

@@ -73,6 +73,29 @@ def test_equations_of_motion_match_gradient_oracle():
             assert grad == pytest.approx(expect, abs=1e-6)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_equations_of_motion_match_exact_gradients(dim):
+    # (dq/dt, dp/dt) = (dH/dp, -dH/dq), with the gradient of the hbar = 0
+    # symbol of H taken exactly at Fraction(q, p), the float state itself
+    omega = 1.3
+    h = build_hamiltonian("schrodinger", dim)
+    rng = np.random.default_rng(300 + dim)
+    for lam in (0.0, 0.02, 0.3):
+        params = ModelParams(dim=dim, lam=lam, omega=omega)
+        for _ in range(10):
+            st = cl.random_state(params, rng, dim, bounded=False)
+            dq, dp = cl.equations_of_motion(params, st)
+            q, p = ([Fraction(x) for x in v.tolist()] for v in (st.q, st.p))
+            grad = symbol_gradients([h], q, p, Fraction(lam), Fraction(omega))[0]
+            expect = list(grad[dim:]) + [-g for g in grad[:dim]]
+            got = dq.tolist() + dp.tolist()
+            worst = max(abs(Fraction(x) - e) for x, e in zip(got, expect))
+            assert worst <= 1e-15 * max(1, max(abs(e) for e in expect)), (lam, st)
+            if lam == 0.0:
+                assert np.array_equal(dq, st.p)
+                assert np.array_equal(dp, -(omega**2) * st.q)
+
+
 def test_invariants_structure():
     rng = np.random.default_rng(1)
     st = cl.random_state(PARAMS, rng, 3)

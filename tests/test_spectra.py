@@ -213,6 +213,12 @@ def test_flavor_wavefunction_relations():
     assert np.allclose(phis["tlb"], phis["schrodinger"] * d ** ((2 - n) / 4.0), rtol=0, atol=1e-12)
 
 
+def test_report_without_eigenvectors_has_none():
+    rep = sp.solve_bound_states(sp.RadialProblem(P002, l=1), k=3)
+    assert rep.eigenvectors is None and rep.r_nodes is None
+    assert len(rep.levels) == 3
+
+
 def test_eigenvector_orthogonality_and_node_count():
     rep = sp.solve_bound_states(sp.RadialProblem(P002, l=1), k=5, eigenvectors=True)
     vecs = rep.eigenvectors
