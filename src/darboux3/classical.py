@@ -320,11 +320,12 @@ def _operators(dim):
             **{f"I_{i+1}{j+1}": fradkin[i][j] for i in range(dim) for j in range(i, dim)}}
 
 
-@lru_cache(maxsize=64)
-def _symbol_row(name, q, p, lam, omega):
-    """Exact gradient of one named invariant at a rational point; cached (and
-    never modified), since the brackets and the rank of a state share rows."""
-    return tuple(symbol_gradients([_operators(len(q))[name]], q, p, lam, omega)[0])
+@lru_cache(maxsize=1)
+def _point_rows(q, p, lam, omega):
+    """The exact gradient rows computed so far at one rational point, by
+    invariant name.  The brackets and the rank of a state share rows, so the
+    last point is kept, with each row computed once at any N."""
+    return {}
 
 
 def _symbol_rows(params, names, state):
@@ -332,7 +333,11 @@ def _symbol_rows(params, names, state):
     Fractions per name, at Fraction(z), which is the float state exactly."""
     point = [tuple(map(Fraction, x.tolist())) for x in (state.q, state.p)]
     point += [Fraction(params.lam), Fraction(params.omega)]
-    return [_symbol_row(name, *point) for name in names]
+    rows = _point_rows(*point)
+    for name in names:
+        if name not in rows:
+            rows[name] = tuple(symbol_gradients([_operators(state.dim)[name]], *point)[0])
+    return [rows[name] for name in names]
 
 
 def involution_matrix(params, names, state):

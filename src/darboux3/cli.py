@@ -92,7 +92,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="symbolic symmetry-algebra verification")
-    v.add_argument("--dim", type=int, choices=(2, 3, 4, 5), default=3)
+    v.add_argument("--dim", type=int, choices=range(2, 9), metavar="{2..8}", default=3)
     v.add_argument("--flavor", choices=FLAVORS, default="schrodinger")
     v.add_argument(
         "--parts", type=_parts, default=",".join(ALL_PARTS),
@@ -112,10 +112,13 @@ def build_parser():
     s.add_argument("--hbar", type=_POSITIVE, default=1.0)
     s.add_argument("--levels", type=_POSITIVE_INT, default=6)
     s.add_argument("--grid", type=_GRID, default=None,
-                   help="finer grid M of the Richardson pair (M//2, M); default "
+                   help="finest grid M of the ladder (M//4, M//2, M); default "
                         f"{sp.DEFAULT_GRID} cells, or {sp.ISOSPECTRAL_GRID} with --flavor all")
     s.add_argument("--qmax", type=_POSITIVE, default=None, help="override automatic box size")
-    s.add_argument("--flavor", choices=(*FLAVORS, "all"), default="tlb")
+    s.add_argument("--flavor", choices=(*FLAVORS, "all"), default="tlb",
+                   help="all: solve each flavor's own radial equation and compare them; "
+                        "one flavor: a label of the flavor-free Q-form solve, unless "
+                        "--wavefunctions exports that flavor's functions")
     s.add_argument("--wavefunctions", default=None, metavar="PATH",
                    help="also export radial wave functions as CSV (r, phi_0..phi_k)")
     s.set_defaults(parser=s)  # --levels is checked against --grid after parsing
@@ -375,11 +378,12 @@ def main(argv=None):
         if not any(PART_READS_ENTRY[part](i, j) for part in args.parts):
             args.parser.error(f"argument --corrupt: no part in --parts reads {args.corrupt}")
     if args.command == "spectrum" and args.flavor == "all":
-        # the coarse grid of the Richardson pair has M//2 cells, one level each
+        # the coarsest grid of the Richardson ladder has M//4 cells, one level each
         m = sp.ISOSPECTRAL_GRID if args.grid is None else args.grid
-        if args.levels > m // 2:
-            args.parser.error(f"argument --levels: {args.levels} levels exceed the {m // 2} "
-                              f"cells of the coarse grid, M//2 for --grid M = {m}")
+        coarsest = sp.ladder_cells(m)[0]
+        if args.levels > coarsest:
+            args.parser.error(f"argument --levels: {args.levels} levels exceed the {coarsest} "
+                              f"cells of the coarsest grid, M//4 for --grid M = {m}")
     handlers = {
         "verify": cmd_verify,
         "spectrum": cmd_spectrum,

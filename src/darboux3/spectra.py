@@ -1,7 +1,8 @@
 """Radial bound-state solvers and closed-form eigenfunctions.
 
-Two independent numerical routes to the same spectrum; each solves both grids
-of the pair (M//2, M) for the k levels it reports and Richardson-extrapolates:
+Two independent numerical routes to the same spectrum; each solves the three
+grids of the Richardson ladder (M//4, M//2, M) for the k levels it reports and
+extrapolates them to zero cell width:
 
 * solve_bound_states discretizes the common one-dimensional form
   -hbar^2/2 u'' + U_eff,l(Q) u = E u in the flattening coordinate Q, with
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -40,18 +42,22 @@ from .model import (
 # discretization artifacts of the finite grid and are not trusted
 THRESHOLD_MARGIN = 0.05
 
-# finer grid M of the Richardson pair (M//2, M): DEFAULT_GRID for the Q-form
-# solver, ISOSPECTRAL_GRID for the flavor solvers behind isospectrality_check,
-# whose flavors must agree pairwise to ISOSPECTRAL_TOLERANCE.  M = 3000 keeps
-# that with a margin of 17 or more over N = 2..6, l <= 10 (M = 1000 misses it
-# at N = 2 and 6, l = 0); a finer M gains nothing pairwise, as bisection's
-# tolerance grows like 1/h^2
-DEFAULT_GRID = 1000
-ISOSPECTRAL_GRID = 3000
+# finest grid M of the Richardson ladder (M//4, M//2, M): DEFAULT_GRID for the
+# Q-form solver, ISOSPECTRAL_GRID for the flavor solvers behind
+# isospectrality_check, whose flavors must agree pairwise to
+# ISOSPECTRAL_TOLERANCE.  The ladder is sixth order: at M = 800 the Q-form is
+# within 1.2e-6 of the closed form over N in {2, 3, 4, 6}, l <= 10 and
+# lambda <= 0.04, and at M = 1200 the flavor route within 7.7e-10, pairwise
+# within 2.4e-11; a finer M gains little pairwise, as bisection's tolerance
+# grows like 1/h^2
+DEFAULT_GRID = 800
+ISOSPECTRAL_GRID = 1200
 ISOSPECTRAL_TOLERANCE = 1e-8
 
+# cells of the first box of threshold_accumulation, which doubles both
+THRESHOLD_GRID = 1000
+
 TAIL = 1e-12
-CONVERGENCE_GRIDS = (1000, 2000, 4000)
 NODE_TOL = 1e-8
 RESOLVED_FRACTION = 0.75
 
@@ -118,7 +124,10 @@ class SpectrumReport:
     levels: list = field(default_factory=list)
     threshold: float = math.inf
     warnings: list = field(default_factory=list)
-    # filled by solve_bound_states(..., eigenvectors=True): u at the fine
+    # the lowest observed order of one grid of the ladder over the reported
+    # levels (about 2 for this scheme); not part of the JSON report
+    observed_order: float = math.nan
+    # filled by solve_bound_states(..., eigenvectors=True): u at the finest
     # grid's cell centres, one column per level, and the radii of the centres
     eigenvectors: np.ndarray | None = None
     r_nodes: np.ndarray | None = None
@@ -175,14 +184,20 @@ def default_grid(params, l, k=6, m=DEFAULT_GRID):
     q_max is the flattening image of the radius where the highest target
     level (n = 2(k-1)+l) has decayed below TAIL; keeping the box this
     tight is what lets the default M, with extrapolation, resolve the levels
-    to better than 1e-6.
+    to about 1e-6 or better.
     """
     n_top = 2 * (k - 1) + l
     q_max = flattening_coordinate(params, gaussian_tail_radius(params, n_top))
     return GridSpec(q_max=q_max, m=m)
 
 
-def effective_1d_problem(problem, m=None):
+def _cell_centres(length, m):
+    """Centres (i - 1/2) h, i = 1..m, of m cells of width h = length/m."""
+    h = length / m
+    return h * (np.arange(1, m + 1) - 0.5)
+
+
+def effective_1d_problem(problem, m=None, r=None):
     """Symmetric tridiagonal flux form of the reduced problem in Q.
 
     With s = l + (N-1)/2 the reduced wave function behaves like Q^s at the
@@ -199,16 +214,19 @@ def effective_1d_problem(problem, m=None):
     polynomially in s (the centre value (i-1/2)^(2s) h^(2s) would make the
     first row grow like 4^s and swamp the levels at large l in bisection's
     tolerance).  Symmetrized by W^(1/2), the eigenvectors are u at the
-    centres to second order.  ``m`` overrides the grid's M (the coarse grid
-    of the Richardson pair).  Returns (diag, offdiag, q_centres, r_centres).
+    centres to second order.  ``m`` overrides the grid's M (a coarser grid
+    of the Richardson ladder); ``r``, when given, is the inverse flattening
+    of the centres, already computed.  Returns (diag, offdiag, q_centres,
+    r_centres).
     """
     params, grid = problem.params, problem.grid
     if grid is None:
         raise ValueError("problem has no grid; use default_grid()")
     m = grid.m if m is None else m
     h = grid.q_max / m
-    q = h * (np.arange(1, m + 1) - 0.5)
-    r = inverse_flattening(params, q)
+    q = _cell_centres(grid.q_max, m)
+    if r is None:
+        r = inverse_flattening(params, q)
     s = problem.l + (params.dim - 1) / 2.0
     hb2 = params.hbar**2
     v = quantum_effective_potential(params, problem.l, r) - hb2 * s * (s - 1.0) / (2.0 * q * q)
@@ -225,20 +243,49 @@ def effective_1d_problem(problem, m=None):
     return diag, off, q, r
 
 
-def _grid_solve(problem, m, k, eigenvectors=False):
+def _grid_solve(problem, m, k, eigenvectors=False, r=None):
     """Lowest min(k, m) levels of the flux form on m cells: (values, vectors,
-    r_centres), vectors (u at the centres) None unless asked for."""
-    diag, off, _q, r = effective_1d_problem(problem, m=m)
+    r_centres), vectors (u at the centres) None unless asked for; ``r`` as
+    in effective_1d_problem."""
+    diag, off, _q, r = effective_1d_problem(problem, m=m, r=r)
     result = eigh_tridiagonal(diag, off, select="i", select_range=(0, min(k, m) - 1),
                               eigvals_only=not eigenvectors)
     vals, vecs = result if eigenvectors else (result, None)
     return vals, vecs, r
 
 
-def _richardson(coarse, fine, ratio):
-    """Second-order Richardson extrapolation; ``ratio`` is h_coarse / h_fine."""
-    rho = ratio * ratio
-    return (rho * fine - coarse) / (rho - 1.0)
+def ladder_cells(m):
+    """Cells of the grids of the Richardson ladder with finest grid m,
+    coarsest first."""
+    return (m // 4, m // 2, m)
+
+
+def _richardson_ladder(solve, m):
+    """Levels of the three grids of ladder_cells(m), extrapolated to h = 0.
+
+    ``solve(cells)`` returns a tuple whose first item is that grid's lowest
+    levels, ascending.  Over one box h is proportional to 1/cells, and each
+    level has an error expansion in h^2; the levels all grids share are
+    replaced by the value at h = 0 of the quadratic in h^2 through the three
+    grids, which cancels the h^2 and h^4 terms.  The Lagrange weights
+    prod_(k != j) c_j^2 / (c_j^2 - c_k^2), c the cells, are exact rationals
+    rounded once, so an odd m works.  Returns (levels, orders, finest):
+    orders[i] = log2 of the ratio of successive single-grid differences of
+    level i, the observed order of one grid (nan where a difference is 0),
+    and finest is what solve returned for m itself.
+    """
+    cells = ladder_cells(m)
+    runs = [solve(c) for c in cells]
+    n = min(run[0].size for run in runs)
+    e = [run[0][:n] for run in runs]
+    sq = [c * c for c in cells]
+    weights = [float(math.prod(Fraction(sj, sj - sk) for sk in sq if sk != sj)) for sj in sq]
+    levels = sum(w * v for w, v in zip(weights, e))
+    d1, d2 = np.abs(e[0] - e[1]), np.abs(e[1] - e[2])
+    measured = (d1 > 0) & (d2 > 0)
+    orders = np.full(n, math.nan)
+    orders[measured] = np.log2(d1[measured] / d2[measured])
+    return levels, orders, runs[-1]
 
 
 def _grid_warnings(problem, h):
@@ -258,9 +305,10 @@ def _grid_warnings(problem, h):
 def solve_bound_states(problem, k=6, eigenvectors=False):
     """Lowest-k bound levels of the reduced problem, paired with closed form.
 
-    Each grid of the pair (M//2, M) is solved for the lowest k levels, which
-    are Richardson-extrapolated; the fine grid M also supplies the
-    eigenvectors (u at the cell centres) when asked for.  Extrapolated levels
+    Each grid of the ladder (M//4, M//2, M) is solved for the lowest k
+    levels, which _richardson_ladder extrapolates; the flattening is inverted
+    once for the centres of all three grids, and the finest grid M supplies
+    the eigenvectors (u at the cell centres) when asked for.  Extrapolated levels
     above (1 - margin) times the continuum threshold are spurious box states
     on a finite grid and are dropped; the report is truncated when fewer than
     k trusted levels resolve (the true discrete family is infinite,
@@ -274,18 +322,26 @@ def solve_bound_states(problem, k=6, eigenvectors=False):
             grid=default_grid(problem.params, problem.l, k=k),
         )
     grid = problem.grid
-    coarse_m = grid.m // 2
-    coarse = _grid_solve(problem, coarse_m, k)[0]
-    fine, vecs, r = _grid_solve(problem, grid.m, k, eigenvectors)
-    extrapolated = _richardson(coarse, fine[: coarse.size], grid.m / coarse_m)
+    cells = ladder_cells(grid.m)
+    # bracketed_newton is elementwise, so each grid's radii are those of its
+    # own inversion
+    centres = np.concatenate([_cell_centres(grid.q_max, c) for c in cells])
+    radii = np.split(inverse_flattening(problem.params, centres), np.cumsum(cells[:-1]))
+    radii = dict(zip(cells, radii))
+    extrapolated, orders, (_vals, vecs, r) = _richardson_ladder(
+        lambda m: _grid_solve(problem, m, k, eigenvectors and m == grid.m, r=radii[m]), grid.m)
     threshold = continuum_threshold(problem.params)
-    trusted = extrapolated[extrapolated < (1.0 - THRESHOLD_MARGIN) * threshold]
+    below = extrapolated < (1.0 - THRESHOLD_MARGIN) * threshold
+    trusted = extrapolated[below][:k]
+    observed = orders[below][:k]
+    observed = observed[~np.isnan(observed)]
     report = SpectrumReport(
         problem=problem,
         threshold=threshold,
         warnings=_grid_warnings(problem, grid.q_max / grid.m),
+        observed_order=float(observed.min()) if observed.size else math.nan,
     )
-    for n_r, e in enumerate(trusted[:k]):
+    for n_r, e in enumerate(trusted):
         n = 2 * n_r + problem.l
         report.levels.append(
             LevelRecord(
@@ -298,23 +354,6 @@ def solve_bound_states(problem, k=6, eigenvectors=False):
         report.eigenvectors = vecs[:, : len(report.levels)]
         report.r_nodes = r
     return report
-
-
-def convergence_order(problem, k=6):
-    """Measured eigenvalue convergence order of single grids (no
-    extrapolation) from the grid-doubling sequence CONVERGENCE_GRIDS.
-
-    Fits |E(h) - E(h/2)| ratios over the lowest k levels that sit below the
-    threshold margin; a second-order scheme gives ~2, which is what the
-    Richardson extrapolation in solve_bound_states relies on.
-    """
-    take = min(k, *CONVERGENCE_GRIDS)
-    e = np.array([_grid_solve(problem, m, take)[0] for m in CONVERGENCE_GRIDS])
-    d1, d2 = np.abs(e[1] - e[0]), np.abs(e[2] - e[1])
-    threshold = continuum_threshold(problem.params)
-    keep = (d2 > 0) & (e[2] < (1.0 - THRESHOLD_MARGIN) * threshold)
-    orders = np.log2(d1[keep] / d2[keep])
-    return float(np.min(orders)) if orders.size else math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +393,7 @@ def flavor_radial_solve(params, l, flavor, r_max, k=6, m=ISOSPECTRAL_GRID):
     """
     h = r_max / m
     p_face, _ = _sl_weights(flavor, h * np.arange(m + 1), params)
-    centers = h * (np.arange(1, m + 1) - 0.5)
+    centers = _cell_centres(r_max, m)
     _, w_cent = _sl_weights(flavor, centers, params)
     v = _sl_potential(flavor, centers, params, l)
     c = params.hbar**2 / (2.0 * h * h)
@@ -367,8 +406,8 @@ def isospectrality_check(params, l, k=6, m=ISOSPECTRAL_GRID):
     """Pairwise spectral agreement of the three independently discretized
     radial flavors on the lowest k levels.
 
-    Each flavor is solved on the grid pair (m//2, m) over one common box and
-    Richardson-extrapolated.  Returns a dict with the per-flavor level
+    Each flavor is solved on the grids of the ladder (m//4, m//2, m) over one
+    common box, and _richardson_ladder extrapolates them.  Returns a dict with the per-flavor level
     arrays, the worst pairwise relative deviation, and a boolean verdict at
     ISOSPECTRAL_TOLERANCE.  At N = 2 the schrodinger and tlb flavors coincide
     (conjugation_exponent is 0 for both); the algebra engine proves
@@ -376,8 +415,8 @@ def isospectrality_check(params, l, k=6, m=ISOSPECTRAL_GRID):
     """
     r_max = 1.25 * gaussian_tail_radius(params, 2 * (k - 1) + l)
     levels = {
-        fl: _richardson(flavor_radial_solve(params, l, fl, r_max, k=k, m=m // 2),
-                        flavor_radial_solve(params, l, fl, r_max, k=k, m=m), m / (m // 2))
+        fl: _richardson_ladder(
+            lambda cells: (flavor_radial_solve(params, l, fl, r_max, k=k, m=cells),), m)[0]
         for fl in FLAVORS
     }
     worst = 0.0
@@ -585,12 +624,12 @@ def threshold_accumulation(params, l, doublings=3, k_cap=400):
     differences are far more sensitive to box distortion than the levels
     themselves, and nearer the threshold the finite box takes over.  At most
     the lowest ``k_cap`` levels below the threshold are counted per grid,
-    the first on default_grid(params, l).  Returns a list of per-grid
-    summaries.
+    the first on default_grid(params, l, m=THRESHOLD_GRID).  Returns a list
+    of per-grid summaries.
     """
     if params.lam <= 0:
         raise ValueError("threshold accumulation needs lambda > 0")
-    base = default_grid(params, l)
+    base = default_grid(params, l, m=THRESHOLD_GRID)
     threshold = continuum_threshold(params)
     out = []
     for stage in range(doublings):
@@ -621,7 +660,7 @@ def radial_wavefunctions(problem, k=6):
 
     The reduced eigenvector u(Q) converts to the flavor functions through
     Phi_tlb = r^((1-N)/2) D^(-(N-1)/4) u and Phi_f = D^(a_f - a_tlb) Phi_tlb,
-    a = conjugation_exponent, on the fine grid's cell centres.  Returns
+    a = conjugation_exponent, on the finest grid's cell centres.  Returns
     (r_nodes, {flavor: array (k, M)}, report).
     """
     report = solve_bound_states(problem, k=k, eigenvectors=True)

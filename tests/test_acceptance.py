@@ -124,8 +124,7 @@ def test_criterion_4_spectrum_matches_closed_form():
             problem = sp.RadialProblem(params, l, grid=sp.default_grid(params, l, k=6))
             rep = sp.solve_bound_states(problem, k=6)
             worst_rel = max(worst_rel, rep.max_rel_residual)
-            order = sp.convergence_order(problem, k=6)
-            worst_order = min(worst_order, order)
+            worst_order = min(worst_order, rep.observed_order)
     elapsed = time.time() - t0
     ok = worst_rel <= 1e-5 and worst_order >= 1.9 and elapsed < 120.0
     _report(

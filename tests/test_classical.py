@@ -233,6 +233,35 @@ def test_independence_ranks():
     assert cl.independence_rank(p2, st2) == 3
 
 
+def test_each_gradient_row_is_computed_once_per_command(monkeypatch):
+    # the brackets of a classical command and its independence rank share
+    # the rows of one state; at N = 40 the 2N - 1 rows must each be computed
+    # once.  Counting stubs stand in for the exact algebra: the row of the
+    # name at position j of invariant_names is the unit vector e_j
+    dim = 40
+    order = {name: j for j, name in enumerate(cl.invariant_names(dim))}
+    computed = []
+
+    def gradients(ops, q, p, lam, omega):
+        computed.extend(ops)
+        return [[int(j == order[op]) for j in range(2 * len(q))] for op in ops]
+
+    monkeypatch.setattr(cl, "_operators", lambda n: {name: name for name in order})
+    monkeypatch.setattr(cl, "symbol_gradients", gradients)
+    cl._point_rows.cache_clear()
+    params = ModelParams(dim=dim, lam=0.02)
+    state = cl.random_state(params, np.random.default_rng(4), dim)
+    try:
+        names = cl.independence_names(dim)
+        for name in names[1:]:
+            cl.poisson_bracket_with_h(params, name, state)
+        rank = cl.independence_rank(params, state)
+    finally:
+        cl._point_rows.cache_clear()
+    assert rank == 2 * dim - 1
+    assert sorted(computed) == sorted(names) and len(computed) == 2 * dim - 1
+
+
 def test_radial_reduction_triple_equality():
     rng = np.random.default_rng(41)
     for dim in (2, 3, 4, 5):

@@ -72,8 +72,8 @@ def test_corrupt_residuals_match_golden_text(capsys, key):
 
 
 BAD_FLAGS = (
-    ["verify", "--dim", "7"],
-    ["verify", "--dim", "6"],
+    ["verify", "--dim", "9"],
+    ["verify", "--dim", "1"],
     ["nonsense"],
     ["verify", "--parts", "foo"],
     ["verify", "--parts", ","],
@@ -89,9 +89,10 @@ BAD_FLAGS = (
     # below solve_ivp's floor of 100 machine epsilons, which it would raise
     # the tolerance to with a warning
     ["classical", "--tolerance", "1e-300", "--t-end", "1"],
-    # more levels than the coarse grid M//2 of the isospectral pair has cells
+    # more levels than the coarsest grid M//4 of the isospectral ladder has cells
     ["spectrum", "--flavor", "all", "--levels", "2000"],
     ["spectrum", "--flavor", "all", "--grid", "100", "--levels", "60"],
+    ["spectrum", "--flavor", "all", "--grid", "100", "--levels", "26"],
     ["verify", "--corrupt", "XYZ"],
     ["verify", "--dim", "2", "--corrupt", "I33"],
     # no selected part reads the corrupted entry (ii reads the diagonal only)
@@ -116,6 +117,12 @@ def test_verify_dim_5(capsys):
     assert [c["lhs"] for c in rep["checks"]] == ["[J3, J+]", "[J3, J-]", "[J-, J+]"]
 
 
+def test_verify_dim_6(capsys):
+    code, out = run_cli(capsys, "verify", "--dim", "6", "--flavor", "schrodinger", "--no-timestamp")
+    rep = json.loads(out)
+    assert code == 0 and rep["N"] == 6 and rep["all_zero"] is True
+
+
 def test_verify_bad_flags_exit_2(capsys):
     for argv in BAD_FLAGS:
         with pytest.raises(SystemExit) as exc:
@@ -127,7 +134,7 @@ def test_verify_bad_flags_exit_2(capsys):
             # checked after parsing, but reported by the command's own parser
             assert err.startswith(f"usage: darboux3 {argv[0]}"), argv
         if "all" in argv:
-            assert "argument --levels" in err and "--grid M = " in err, argv
+            assert "argument --levels" in err and "coarsest grid, M//4 for --grid M = " in err, argv
 
 
 def test_readme_names_the_report_schema():
@@ -219,34 +226,38 @@ def test_spectrum_n2_l0_needs_flux_form(capsys):
 
 
 def test_spectrum_odd_grid(capsys):
-    # --grid M is the finer grid of the pair (M//2, M); an odd M extrapolates
-    # with the exact spacing ratio (1001/500)^2
-    code, out = run_cli(capsys, "spectrum", "--grid", "1001", "--no-timestamp")
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["grid"]["M"] == 1001
-    assert rep["max_rel_mismatch"] <= 1e-5
+    # --grid M is the finest grid of the ladder (M//4, M//2, M); an odd M
+    # extrapolates with the Lagrange weights of the exact spacings
+    for grid in (1001, 401):
+        code, out = run_cli(capsys, "spectrum", "--grid", str(grid), "--no-timestamp")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["grid"]["M"] == grid
+        assert rep["max_rel_mismatch"] <= 1e-5
 
 
 def test_spectrum_all_flavors_default_grid(capsys):
-    # the --flavor all default is the finer grid M = ISOSPECTRAL_GRID:
-    # Richardson over (M//2, M) with rho = (M/(M//2))^2, that is
-    # (rho E_M - E_(M//2))/(rho - 1), to the last bit
+    # the --flavor all default is the finest grid M = ISOSPECTRAL_GRID of the
+    # ladder (M/4, M/2, M); with h^2 in the ratios 16 : 4 : 1 the value at
+    # h = 0 of the quadratic through them is (E_(M/4) - 20 E_(M/2) + 64 E_M)/45,
+    # to the last bit
+    from fractions import Fraction
+
     from darboux3 import spectra as sp
     from darboux3.model import ModelParams
 
-    fine_m = sp.ISOSPECTRAL_GRID
-    coarse_m = fine_m // 2
+    m = sp.ISOSPECTRAL_GRID
+    assert m % 4 == 0
     argv = ("spectrum", "--flavor", "all", "--levels", "3", "--no-timestamp")
     code, out = run_cli(capsys, *argv)
     assert code == 0
-    assert run_cli(capsys, *argv, "--grid", str(fine_m)) == (0, out)
+    assert run_cli(capsys, *argv, "--grid", str(m)) == (0, out)
     params = ModelParams(dim=3, lam=0.02)
     r_max = 1.25 * sp.gaussian_tail_radius(params, 4)
-    coarse, fine = (sp.flavor_radial_solve(params, 0, "tlb", k=3, m=m, r_max=r_max)
-                    for m in (coarse_m, fine_m))
-    rho = (fine_m / coarse_m) ** 2
-    assert json.loads(out)["levels"]["tlb"] == ((rho * fine - coarse) / (rho - 1.0)).tolist()
+    coarsest, middle, finest = (sp.flavor_radial_solve(params, 0, "tlb", k=3, m=c, r_max=r_max)
+                                for c in (m // 4, m // 2, m))
+    w = [float(Fraction(n, 45)) for n in (1, -20, 64)]
+    assert json.loads(out)["levels"]["tlb"] == (w[0] * coarsest + w[1] * middle + w[2] * finest).tolist()
 
 
 def test_spectrum_all_flavors(capsys):
@@ -465,7 +476,7 @@ def _cli_calls(out_dir):
         flag("--corrupt", ("I11", "I12", "I22")),
         switch("--similarity"),
         out,
-    ), [("--dim", "7"), ("--dim", "two"), ("--parts", "foo"), ("--parts", ","),
+    ), [("--dim", "9"), ("--dim", "two"), ("--parts", "foo"), ("--parts", ","),
         ("--flavor", "lb"), ("--corrupt", "I33"), ("--corrupt", "XYZ"),
         ("--format", "csv"), ("--seed", "7")])
     spectrum = command("spectrum", (

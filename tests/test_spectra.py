@@ -71,7 +71,7 @@ def test_flat_ladder():
 def test_levels_match_closed_form_with_extrapolation_oracle():
     # N=3, l=1, lambda=0.02: the single-grid levels on (4000, 8000),
     # extrapolated once here, vs closed form to 1e-6; the default solve
-    # (its own extrapolation over (M//2, M)) agrees with this oracle to 1e-5
+    # (its own ladder over (M//4, M//2, M)) agrees with this oracle to 1e-5
     prob = sp.RadialProblem(P002, 1, grid=sp.default_grid(P002, 1, k=6))
     coarse, fine = (sp._grid_solve(prob, m, 6)[0] for m in (4000, 8000))
     oracle = (4.0 * fine - coarse) / 3.0
@@ -87,10 +87,9 @@ def test_levels_match_closed_form_with_extrapolation_oracle():
 def test_direct_solve_tolerance_and_order():
     rep = sp.solve_bound_states(sp.RadialProblem(P002, l=2), k=6)
     assert rep.max_rel_residual <= 1e-5
-    order = sp.convergence_order(
-        sp.RadialProblem(P002, l=2, grid=rep.problem.grid), k=6
-    )
-    assert order >= 1.9
+    # the single-grid order, read from the ladder's own differences
+    assert 1.9 <= rep.observed_order <= 2.1
+    assert "observed_order" not in rep.to_json()
 
 
 def test_spectrum_report_structure():
@@ -120,7 +119,39 @@ def test_each_grid_is_solved_for_exactly_k_levels(monkeypatch, eigenvectors):
     problem = sp.RadialProblem(P002, l=1, grid=sp.default_grid(P002, 1, k=4))
     rep = sp.solve_bound_states(problem, k=4, eigenvectors=eigenvectors)
     assert len(rep.levels) == 4
-    assert sorted(calls) == [(500, (0, 3), True), (1000, (0, 3), not eigenvectors)]
+    # the ladder (M//4, M//2, M) at M = DEFAULT_GRID; vectors on M alone
+    assert sorted(calls) == [(200, (0, 3), True), (400, (0, 3), True),
+                             (800, (0, 3), not eigenvectors)]
+    assert (rep.eigenvectors is None) is not eigenvectors
+
+
+@pytest.mark.parametrize("lam,m", ((0.02, 800), (0.04, 401)))
+def test_ladder_inverts_the_flattening_once(monkeypatch, lam, m):
+    # the ladder inverts the centres of its three grids in one call, and
+    # every grid's matrix is bit-identical to its own assembly
+    from darboux3.model import inverse_flattening
+
+    params = ModelParams(dim=3, lam=lam)
+    problem = sp.RadialProblem(params, l=2, grid=sp.default_grid(params, 2, k=6, m=m))
+    separate = {c: sp.effective_1d_problem(problem, m=c) for c in sp.ladder_cells(m)}
+    assemble = sp.effective_1d_problem
+    inverted, assembled = [], {}
+
+    def counting(params, q):
+        inverted.append(len(q))
+        return inverse_flattening(params, q)
+
+    def recording(problem, m=None, r=None):
+        assembled[m] = assemble(problem, m=m, r=r)
+        return assembled[m]
+
+    monkeypatch.setattr(sp, "inverse_flattening", counting)
+    monkeypatch.setattr(sp, "effective_1d_problem", recording)
+    sp.solve_bound_states(problem, k=6)
+    assert inverted == [sum(sp.ladder_cells(m))]
+    assert sorted(assembled) == sorted(separate)
+    for c, arrays in separate.items():
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, assembled[c])), c
 
 
 def test_grid_warning_heuristic():
@@ -136,27 +167,48 @@ def test_grid_warning_heuristic():
 
 @pytest.mark.parametrize("dim", (2, 3, 4, 5))
 def test_default_spectrum_sweep(dim):
-    # default grid, Richardson over (500, 1000): every level within 2e-6 of
-    # the closed form, N = 2, l = 0 (s = 1/2) included
+    # default grid, the ladder (200, 400, 800): every level within 5e-7 of
+    # the closed form (8.2e-8 at worst here), N = 2, l = 0 (s = 1/2) included
     for l in (0, 1, 3):
         for lam, omega in ((0.02, 1.0), (0.04, 0.8), (0.005, 1.2), (0.0, 1.0)):
             params = ModelParams(dim=dim, lam=lam, omega=omega)
             rep = sp.solve_bound_states(sp.RadialProblem(params, l), k=6)
             assert len(rep.levels) == 6
-            assert rep.max_rel_residual <= 2e-6, (l, lam, omega, rep.max_rel_residual)
+            assert rep.max_rel_residual <= 5e-7, (l, lam, omega, rep.max_rel_residual)
 
 
 @pytest.mark.parametrize("dim", (3, 2))
-def test_richardson_is_fourth_order(dim):
+def test_richardson_ladder_is_sixth_order(dim):
     params = ModelParams(dim=dim, lam=0.02)
     q_max = sp.default_grid(params, 0, k=6).q_max
     closed = np.array([closed_form_energy(params, 2 * n_r) for n_r in range(6)])
     errors = []
-    for m in (500, 1000):  # the pairs (250, 500) and (500, 1000)
+    for m in (500, 1000):  # the ladders (125, 250, 500) and (250, 500, 1000)
         rep = sp.solve_bound_states(sp.RadialProblem(params, 0, grid=sp.GridSpec(q_max, m)), k=6)
         levels = np.array([lv.e_numeric for lv in rep.levels])
         errors.append(np.max(np.abs(levels - closed) / closed))
-    assert errors[0] / errors[1] >= 12.0, errors
+    # halving h divides a sixth-order error by 64 (fourth order: 16)
+    assert errors[0] / errors[1] >= 40.0, errors
+
+
+def test_ladder_sweep_against_closed_form():
+    # both routes at their default grids over N in {2, 3, 4, 6}, l in
+    # {0, 1, 3, 10} and (lambda, omega) in {(0, 1), (0.02, 1), (0.04, 0.8)}:
+    # worst here 1.2e-6 (Q-form), 7.7e-10 (flavor route) and 2.4e-11
+    # (pairwise); the two-grid pair gave 5.6e-6, 1.1e-9 and 1.3e-10
+    for dim in (2, 3, 4, 6):
+        for l in (0, 1, 3, 10):
+            for lam, omega in ((0.0, 1.0), (0.02, 1.0), (0.04, 0.8)):
+                params = ModelParams(dim=dim, lam=lam, omega=omega)
+                case = (dim, l, lam, omega)
+                rep = sp.solve_bound_states(sp.RadialProblem(params, l), k=6)
+                assert len(rep.levels) == 6, case
+                iso = sp.isospectrality_check(params, l, k=6)
+                closed = np.array([closed_form_energy(params, 2 * n_r + l) for n_r in range(6)])
+                flavor = max(float(np.max(np.abs(v - closed) / closed)) for v in iso["levels"].values())
+                assert rep.max_rel_residual <= 2e-6, (case, rep.max_rel_residual)
+                assert flavor <= 1e-8, (case, flavor)
+                assert iso["max_pairwise_rel"] <= 1e-9, (case, iso["max_pairwise_rel"])
 
 
 def test_isospectrality_three_flavors():
@@ -332,10 +384,11 @@ def test_threshold_accumulation():
 
 
 def _threshold_by_index(params, l, doublings, k_cap):
-    """Threshold stages with the lowest min(k_cap, m - 1) levels selected by index."""
+    """Threshold stages with the lowest min(k_cap, m - 1) levels selected by
+    index, on the threshold's own base grid."""
     from scipy.linalg import eigh_tridiagonal
 
-    base = sp.default_grid(params, l, k=6)
+    base = sp.default_grid(params, l, k=6, m=sp.THRESHOLD_GRID)
     threshold = continuum_threshold(params)
     out = []
     for stage in range(doublings):
