@@ -73,13 +73,15 @@ class TrajectoryRecord:
 
     ``t`` has shape (T,) and ``y`` shape (2N, T), one (q, p) column per
     sample time; ``global_error`` is max_t |z(t) - z_exact(t)|, nan for
-    unbounded motion.
+    unbounded motion.  ``dense`` is the solver's dense output, callable on
+    times, over at least 1.01 periods for bounded motion, None otherwise.
     """
 
     t: np.ndarray
     y: np.ndarray
     drift: dict
     global_error: float
+    dense: object
 
     @property
     def samples(self):
@@ -239,7 +241,10 @@ def exact_state(params, initial, t):
 def integrate(params, initial, t_end, tolerance=1e-10, n_samples=501):
     """Integrate the flow and record the drift of every invariant.
 
-    Returns a TrajectoryRecord whose drift entries are
+    One DOP853 solve, sampled at n_samples times on [t0, t0 + t_end]; for
+    bounded motion it runs to t0 + max(t_end, 1.01 T), T the
+    closed_form_period(), and keeps the dense output that orbit_closure()
+    reads.  Returns a TrajectoryRecord whose drift entries are
     max_t |I(t) - I(0)| / max(1, |I(0)|) over the sample times, and whose
     global_error compares the samples with exact_state() (nan above the
     continuum threshold).
@@ -248,10 +253,12 @@ def integrate(params, initial, t_end, tolerance=1e-10, n_samples=501):
         raise ValueError("tolerance must be positive")
     z0 = initial.as_vector()
     t0 = initial.t
-    ts = np.linspace(t0, t0 + t_end, n_samples)
+    energy = classical_hamiltonian(params, initial)
+    bounded = energy < continuum_threshold(params)
+    t_stop = t0 + (max(t_end, 1.01 * closed_form_period(params, energy)) if bounded else t_end)
     sol = solve_ivp(
-        _rhs(params), (t0, t0 + t_end), z0,
-        method="DOP853", rtol=tolerance, atol=tolerance, t_eval=ts,
+        _rhs(params), (t0, t_stop), z0, method="DOP853", rtol=tolerance, atol=tolerance,
+        t_eval=np.linspace(t0, t0 + t_end, n_samples), dense_output=bounded,
     )
     if not sol.success:
         raise IntegrationError(f"integrator aborted: {sol.message}")
@@ -260,7 +267,7 @@ def integrate(params, initial, t_end, tolerance=1e-10, n_samples=501):
     vals = invariant_values(params, sol.y[:n], sol.y[n:])
     worst = (np.max(np.abs(vals - ref[:, None]), axis=1) / np.maximum(1.0, np.abs(ref))).tolist()
     global_error = math.nan
-    if classical_hamiltonian(params, initial) < continuum_threshold(params):
+    if bounded:
         exact = exact_state(params, initial, sol.t)
         global_error = float(np.max(np.linalg.norm(sol.y - exact, axis=0)))
     return TrajectoryRecord(
@@ -268,37 +275,36 @@ def integrate(params, initial, t_end, tolerance=1e-10, n_samples=501):
         y=sol.y,
         drift={name: worst[k] for name, k in _row_index(n).items()},
         global_error=global_error,
+        dense=sol.sol,
     )
 
 
-def orbit_closure(params, initial, tolerance=1e-12):
-    """Distance of the trajectory from its initial point after one period.
+def orbit_closure(params, initial, record):
+    """Distance of the trajectory from its initial point after one period,
+    read from the dense output of ``record``, the integrate() record of the
+    same initial state.
 
-    One DOP853 solve with dense output over [0, 1.01 T], T the
-    closed_form_period() of the initial energy.  Returns a dict with
-    ``period`` = T, ``closure_distance`` = |z(T) - z0|, ``period_measured``,
-    the time in [0.99 T, 1.01 T] where |z(t) - z0| is least, and
-    ``conclusive``, true when the distance is at most CLOSURE_THRESHOLD *
-    max(1, |z0|).  Unbounded motion (H at or above the continuum threshold)
-    has no period: it is reported as inconclusive without integrating.
+    Returns a dict with ``period`` = T, the closed_form_period() of the
+    initial energy, ``closure_distance`` = |z(t0 + T) - z0|,
+    ``period_measured``, the time in [0.99 T, 1.01 T] after t0 where
+    |z - z0| is least, and ``conclusive``, true when the distance is at most
+    CLOSURE_THRESHOLD * max(1, |z0|); both follow the record's tolerance.
+    Unbounded motion (H at or above the continuum threshold) has no period:
+    it is reported as inconclusive.
     """
     energy = classical_hamiltonian(params, initial)
     if energy >= continuum_threshold(params):
         return {"period": math.nan, "period_measured": math.nan,
                 "closure_distance": math.inf, "conclusive": False}
     period = closed_form_period(params, energy)
-    z0 = initial.as_vector()
-    sol = solve_ivp(
-        _rhs(params), (0.0, 1.01 * period), z0,
-        method="DOP853", rtol=tolerance, atol=tolerance, dense_output=True,
-    )
-    if not sol.success:
-        raise IntegrationError(f"integrator aborted: {sol.message}")
-    dist = float(np.linalg.norm(sol.sol(period) - z0))
+    z0, t0, dense = initial.as_vector(), initial.t, record.dense
+    if dense is None or dense.t_max < t0 + 1.01 * period:
+        raise ValueError("the record's dense output does not cover 1.01 periods of this orbit")
+    dist = float(np.linalg.norm(dense(t0 + period) - z0))
     # the bounded minimizer stops at about 1.5e-8 times its argument; in the
     # offset u = t - T that resolves the return time to about 1e-12
     res = minimize_scalar(
-        lambda u: float(np.linalg.norm(sol.sol(period + u) - z0)),
+        lambda u: float(np.linalg.norm(dense(t0 + period + u) - z0)),
         bounds=(-0.01 * period, 0.01 * period), method="bounded",
         options={"xatol": 1e-13},
     )

@@ -44,6 +44,9 @@ from .model import (
 
 SPECTRUM_TOLERANCE = 1e-5
 DRIFT_TOLERANCE = 1e-7
+# at most this many periods per classical run: DOP853 takes about 20 steps
+# and 5-7 ms CPU per period at N <= 5, so a run at the cap takes 5-7 s
+MAX_PERIODS = 1000
 
 
 def _number(convert, test, what):
@@ -134,6 +137,7 @@ def build_parser():
         f"a finite number >= {100 * np.finfo(float).eps:.3g} (the integrator's floor)"))
     c.add_argument("--trajectory", default=None, metavar="PATH",
                    help="also export the sampled trajectory as CSV")
+    c.set_defaults(parser=c)  # --omega x --t-end is checked after parsing
 
     f = sub.add_parser("figures", help="plot-ready curve data for figures 1-5")
     f.add_argument("--which", type=int, choices=(1, 2, 3, 4, 5), required=True)
@@ -271,7 +275,7 @@ def _classical(args):
     rng = np.random.default_rng(args.seed)
     state = cl.random_state(params, rng, args.dim)
     record = cl.integrate(params, state, args.t_end, tolerance=args.tolerance)
-    closure = cl.orbit_closure(params, state)
+    closure = cl.orbit_closure(params, state, record)
     names = cl.independence_names(args.dim)[1:]  # all but H itself
     brackets = {name: cl.poisson_bracket_with_h(params, name, state) for name in names}
     rank = cl.independence_rank(params, state)
@@ -378,12 +382,23 @@ def main(argv=None):
         if not any(PART_READS_ENTRY[part](i, j) for part in args.parts):
             args.parser.error(f"argument --corrupt: no part in --parts reads {args.corrupt}")
     if args.command == "spectrum" and args.flavor == "all":
+        # each flavor's own r-form solve has its own box and exports nothing
+        for flag, value in (("--qmax", args.qmax), ("--wavefunctions", args.wavefunctions)):
+            if value is not None:
+                args.parser.error(f"argument {flag}: not used with --flavor all")
         # the coarsest grid of the Richardson ladder has M//4 cells, one level each
         m = sp.ISOSPECTRAL_GRID if args.grid is None else args.grid
         coarsest = sp.ladder_cells(m)[0]
         if args.levels > coarsest:
             args.parser.error(f"argument --levels: {args.levels} levels exceed the {coarsest} "
                               f"cells of the coarsest grid, M//4 for --grid M = {m}")
+    if args.command == "classical":
+        # a drawn state is bounded, Omega(E) <= omega, so omega t_end / 2 pi
+        # bounds the periods to integrate before the state is known
+        periods = args.omega * args.t_end / (2 * math.pi)
+        if periods > MAX_PERIODS:
+            args.parser.error(f"argument --t-end: --omega {args.omega:g} x --t-end {args.t_end:g} "
+                              f"/ 2 pi = {periods:.3g} periods, more than {MAX_PERIODS}")
     handlers = {
         "verify": cmd_verify,
         "spectrum": cmd_spectrum,

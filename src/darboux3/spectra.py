@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -260,6 +261,15 @@ def ladder_cells(m):
     return (m // 4, m // 2, m)
 
 
+@cache
+def _ladder_weights(m):
+    """Lagrange weights of the grids of ladder_cells(m) at h = 0, as floats:
+    prod_(k != j) c_j^2 / (c_j^2 - c_k^2), c the cells, exact rationals
+    rounded once, so an odd m works."""
+    sq = [c * c for c in ladder_cells(m)]
+    return tuple(float(math.prod(Fraction(sj, sj - sk) for sk in sq if sk != sj)) for sj in sq)
+
+
 def _richardson_ladder(solve, m):
     """Levels of the three grids of ladder_cells(m), extrapolated to h = 0.
 
@@ -267,20 +277,16 @@ def _richardson_ladder(solve, m):
     levels, ascending.  Over one box h is proportional to 1/cells, and each
     level has an error expansion in h^2; the levels all grids share are
     replaced by the value at h = 0 of the quadratic in h^2 through the three
-    grids, which cancels the h^2 and h^4 terms.  The Lagrange weights
-    prod_(k != j) c_j^2 / (c_j^2 - c_k^2), c the cells, are exact rationals
-    rounded once, so an odd m works.  Returns (levels, orders, finest):
-    orders[i] = log2 of the ratio of successive single-grid differences of
-    level i, the observed order of one grid (nan where a difference is 0),
-    and finest is what solve returned for m itself.
+    grids (weights _ladder_weights(m)), which cancels the h^2 and h^4 terms.
+    Returns (levels, orders, finest): orders[i] = log2 of the ratio of
+    successive single-grid differences of level i, the observed order of one
+    grid (nan where a difference is 0), and finest is what solve returned
+    for m itself.
     """
-    cells = ladder_cells(m)
-    runs = [solve(c) for c in cells]
+    runs = [solve(c) for c in ladder_cells(m)]
     n = min(run[0].size for run in runs)
     e = [run[0][:n] for run in runs]
-    sq = [c * c for c in cells]
-    weights = [float(math.prod(Fraction(sj, sj - sk) for sk in sq if sk != sj)) for sj in sq]
-    levels = sum(w * v for w, v in zip(weights, e))
+    levels = sum(w * v for w, v in zip(_ladder_weights(m), e))
     d1, d2 = np.abs(e[0] - e[1]), np.abs(e[1] - e[2])
     measured = (d1 > 0) & (d2 > 0)
     orders = np.full(n, math.nan)

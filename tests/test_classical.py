@@ -1,10 +1,12 @@
 """Classical dynamics: canonical equations, conservation, superintegrability."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from darboux3.algebra import (
     build_fradkin, build_hamiltonian, corrupt_fradkin, symbol_gradients,
@@ -165,7 +167,8 @@ def test_bounded_motion_below_threshold():
 def test_orbit_closure_flat_period():
     flat = ModelParams(dim=3, lam=0.0)
     st = cl.PhaseState(q=np.array([1.0, 0.0, 0.0]), p=np.array([0.0, 1.0, 0.0]))
-    res = cl.orbit_closure(flat, st, tolerance=1e-12)
+    # integrate runs a short t_end on to 1.01 T for the closure
+    res = cl.orbit_closure(flat, st, cl.integrate(flat, st, 1.0, tolerance=1e-12))
     assert res["conclusive"]
     assert res["period"] == pytest.approx(2.0 * math.pi, abs=1e-8)
     assert res["period_measured"] == pytest.approx(2.0 * math.pi, abs=1e-8)
@@ -175,12 +178,12 @@ def test_orbit_closure_flat_period():
 def test_orbit_closure_deformed_and_inconclusive():
     rng = np.random.default_rng(17)
     st = cl.random_state(PARAMS, rng, 3)
-    res = cl.orbit_closure(PARAMS, st, tolerance=1e-10)
+    res = cl.orbit_closure(PARAMS, st, cl.integrate(PARAMS, st, 1.0, tolerance=1e-10))
     assert res["conclusive"]
     assert res["closure_distance"] < 1e-4
     # unbounded data: no recurrence expected
     far = cl.PhaseState(q=np.array([0.1, 0.0, 0.0]), p=np.array([8.0, 0.5, 0.0]))
-    res2 = cl.orbit_closure(PARAMS, far, tolerance=1e-9)
+    res2 = cl.orbit_closure(PARAMS, far, cl.integrate(PARAMS, far, 1.0, tolerance=1e-9))
     assert not res2["conclusive"]
 
 
@@ -188,7 +191,7 @@ def test_nonunit_omega_period_and_drift():
     # flat period 2*pi/omega, deformed conservation, omega = 2
     flat = ModelParams(dim=3, lam=0.0, omega=2.0)
     st = cl.PhaseState(q=np.array([0.5, 0.0, 0.2]), p=np.array([0.0, 0.8, 0.1]))
-    res = cl.orbit_closure(flat, st, tolerance=1e-12)
+    res = cl.orbit_closure(flat, st, cl.integrate(flat, st, 1.0, tolerance=1e-12))
     assert res["period"] == pytest.approx(math.pi, abs=1e-8)
     assert res["period_measured"] == pytest.approx(math.pi, abs=1e-8)
     deformed = ModelParams(dim=3, lam=0.05, omega=2.0)
@@ -196,7 +199,7 @@ def test_nonunit_omega_period_and_drift():
     st2 = cl.random_state(deformed, rng, 3)
     rec = cl.integrate(deformed, st2, 100.0, tolerance=1e-10)
     assert rec.max_drift < 1e-7
-    res2 = cl.orbit_closure(deformed, st2, tolerance=1e-10)
+    res2 = cl.orbit_closure(deformed, st2, rec)
     assert res2["conclusive"]
 
 
@@ -428,7 +431,7 @@ def test_closed_form_period_matches_measured_return(dim):
         params = ModelParams(dim=dim, lam=lam, omega=omega)
         for _ in range(2):
             st = cl.random_state(params, rng, dim)
-            res = cl.orbit_closure(params, st)
+            res = cl.orbit_closure(params, st, cl.integrate(params, st, 1.0, tolerance=1e-12))
             period = cl.closed_form_period(params, cl.classical_hamiltonian(params, st))
             assert res["period"] == period
             assert abs(res["period_measured"] - period) <= 1e-7 * period
@@ -436,14 +439,56 @@ def test_closed_form_period_matches_measured_return(dim):
 
 
 def test_orbit_closure_unbounded_skips_integration(monkeypatch):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("unbounded motion must not be integrated")
-
-    monkeypatch.setattr(cl, "solve_ivp", no_solve)
     far = cl.PhaseState(q=np.array([0.1, 0.0, 0.0]), p=np.array([8.0, 0.5, 0.0]))
-    res = cl.orbit_closure(PARAMS, far)
+    spans = []
+
+    def spy(fun, t_span, *args, **kwargs):
+        spans.append(t_span)
+        return solve_ivp(fun, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(cl, "solve_ivp", spy)
+    # unbounded motion is integrated to t_end alone, without dense output
+    rec = cl.integrate(PARAMS, far, 5.0, tolerance=1e-9)
+    assert spans == [(0.0, 5.0)] and rec.dense is None
+    res = cl.orbit_closure(PARAMS, far, rec)
+    assert len(spans) == 1
     assert math.isnan(res["period"]) and math.isnan(res["period_measured"])
     assert res["closure_distance"] == math.inf and res["conclusive"] is False
+
+
+def test_closure_reads_the_one_solve_past_a_short_t_end():
+    rng = np.random.default_rng(17)
+    st = cl.random_state(PARAMS, rng, 3)
+    period = cl.closed_form_period(PARAMS, cl.classical_hamiltonian(PARAMS, st))
+    rec = cl.integrate(PARAMS, st, 1.0)
+    # sampled on [0, t_end], solved on to 1.01 T for the closure
+    assert rec.t[0] == 0.0 and rec.t[-1] == 1.0 and rec.y.shape == (6, 501)
+    assert rec.dense.t_max == 1.01 * period
+    res = cl.orbit_closure(PARAMS, st, rec)
+    assert res["conclusive"] and res["closure_distance"] <= 1e-8
+    assert abs(res["period_measured"] - period) <= 1e-9 * period
+    # a record whose dense output does not reach 1.01 T is refused
+    with pytest.raises(ValueError):
+        cl.orbit_closure(PARAMS, st, dataclasses.replace(rec, dense=None))
+    # as is one read from a later start, whose 1.01 T ends 5 later
+    later = cl.PhaseState(q=st.q, p=st.p, t=5.0)
+    with pytest.raises(ValueError):
+        cl.orbit_closure(PARAMS, later, rec)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_closure_conclusive_over_the_command_grid(dim):
+    # the states and defaults of `classical --dim N --seed s`, at the default
+    # --t-end and at one shorter than a period
+    params = ModelParams(dim=dim, lam=0.02)
+    for seed in (0, 1, 3, 7, 42):
+        st = cl.random_state(params, np.random.default_rng(seed), dim)
+        period = cl.closed_form_period(params, cl.classical_hamiltonian(params, st))
+        for t_end in (100.0, 1.0):
+            res = cl.orbit_closure(params, st, cl.integrate(params, st, t_end))
+            assert res["conclusive"] is True, (seed, t_end)
+            assert res["closure_distance"] <= 1e-8, (seed, t_end)
+            assert abs(res["period_measured"] - period) <= 1e-9 * period, (seed, t_end)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

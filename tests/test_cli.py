@@ -12,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from darboux3 import classical as cl
 from darboux3 import reports as rp
-from darboux3.cli import main
+from darboux3.cli import MAX_PERIODS, main
 
 
 def run_cli(capsys, *argv):
@@ -89,10 +90,16 @@ BAD_FLAGS = (
     # below solve_ivp's floor of 100 machine epsilons, which it would raise
     # the tolerance to with a warning
     ["classical", "--tolerance", "1e-300", "--t-end", "1"],
+    # more than MAX_PERIODS periods, omega t_end / 2 pi, to integrate
+    ["classical", "--omega", "1e4"],
+    ["classical", "--t-end", "1e300"],
     # more levels than the coarsest grid M//4 of the isospectral ladder has cells
     ["spectrum", "--flavor", "all", "--levels", "2000"],
     ["spectrum", "--flavor", "all", "--grid", "100", "--levels", "60"],
     ["spectrum", "--flavor", "all", "--grid", "100", "--levels", "26"],
+    # each flavor's own solve picks its box and exports no wave functions
+    ["spectrum", "--flavor", "all", "--qmax", "5"],
+    ["spectrum", "--flavor", "all", "--wavefunctions", "wf.csv"],
     ["verify", "--corrupt", "XYZ"],
     ["verify", "--dim", "2", "--corrupt", "I33"],
     # no selected part reads the corrupted entry (ii reads the diagonal only)
@@ -130,11 +137,17 @@ def test_verify_bad_flags_exit_2(capsys):
         assert exc.value.code == 2, argv
         err = capsys.readouterr().err
         assert "usage:" in err and "Traceback" not in err and "Warning" not in err, argv
-        if "--corrupt" in argv or "all" in argv:
+        capped = argv[0] == "classical" and ("1e4" in argv or "1e300" in argv)
+        if "--corrupt" in argv or "all" in argv or capped:
             # checked after parsing, but reported by the command's own parser
             assert err.startswith(f"usage: darboux3 {argv[0]}"), argv
-        if "all" in argv:
+        if "all" in argv and "--levels" in argv:
             assert "argument --levels" in err and "coarsest grid, M//4 for --grid M = " in err, argv
+        for flag in ("--qmax", "--wavefunctions"):
+            if "all" in argv and flag in argv:
+                assert f"argument {flag}: not used with --flavor all" in err, argv
+        if capped:
+            assert "argument --t-end: --omega " in err and f"more than {MAX_PERIODS}" in err, argv
 
 
 def test_readme_names_the_report_schema():
@@ -308,6 +321,57 @@ def test_classical_flat_period(capsys):
     assert rep["threshold"] == "inf"
 
 
+class _Reached(Exception):
+    """Raised by a stub to show that a command got that far."""
+
+
+@pytest.mark.parametrize("argv, refused", (
+    pytest.param(("--omega", "1e4"), True, id="omega-1e4"),
+    pytest.param(("--t-end", "1e300"), True, id="t-end-1e300"),
+    # omega t_end / 2 pi = 1002.7 and 999.5 periods
+    pytest.param(("--omega", "63", "--t-end", "100"), True, id="1002.7-periods"),
+    pytest.param(("--omega", "62.8", "--t-end", "100"), False, id="999.5-periods"),
+))
+def test_classical_work_cap_refuses_before_integrating(capsys, monkeypatch, argv, refused):
+    def stub(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(cl, "random_state", stub)
+    monkeypatch.setattr(cl, "solve_ivp", stub)
+    if not refused:
+        # admitted: the command goes on to draw its state
+        with pytest.raises(_Reached):
+            main(["classical", *argv])
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(["classical", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: darboux3 classical")
+    assert "argument --t-end: --omega " in err
+    assert err.rstrip().endswith(f"periods, more than {MAX_PERIODS}")
+
+
+@pytest.mark.parametrize("t_end", ("100", "1"))
+def test_classical_command_solves_once(capsys, monkeypatch, t_end):
+    # the trajectory and the closure come from one solve; a --t-end below
+    # 1.01 T is run on to 1.01 T and the closure is still conclusive
+    spans = []
+    solve_ivp = cl.solve_ivp
+
+    def counting(fun, t_span, *args, **kwargs):
+        spans.append(t_span)
+        return solve_ivp(fun, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(cl, "solve_ivp", counting)
+    code, out = run_cli(capsys, "classical", "--t-end", t_end, "--no-timestamp")
+    closure = json.loads(out)["closure"]
+    assert code == 0 and len(spans) == 1
+    assert spans[0] == (0.0, max(float(t_end), 1.01 * closure["period"]))
+    assert closure["conclusive"] is True and closure["closure_distance"] <= 1e-8
+    assert closure["period_measured"] == pytest.approx(closure["period"], rel=1e-9)
+
+
 def test_determinism_byte_identical(capsys):
     args = ("classical", "--dim", "3", "--seed", "12", "--t-end", "20", "--no-timestamp")
     _, first = run_cli(capsys, *args)
@@ -395,13 +459,19 @@ def test_float_breakdown_exits_1(capsys, argv):
     # these two break down inside the inverse flattening iteration
     pytest.param("spectrum", "--hbar", "1e300", "1e+300", (), id="--hbar-1e300"),
     pytest.param("spectrum", "--omega", "1e-150", "1e-150", (), id="--omega-1e-150"),
-    # omega**2 overflows a Python float in the continuum threshold
-    pytest.param("classical", "--omega", "1e200", "1e+200", (), id="classical--omega-1e200"),
+    # omega**2 overflows a Python float in the continuum threshold; a short
+    # --t-end keeps omega t_end / 2 pi within MAX_PERIODS
+    pytest.param("classical", "--omega", "1e200", "1e+200", ("--t-end", "1e-200"),
+                 id="classical--omega-1e200"),
     # omega**2 underflows to 0, and exact_state divides by it
     pytest.param("classical", "--omega", "1e-200", "1e-200", ("--lambda", "0"),
                  id="classical--omega-1e-200"),
+    # omega**3 overflows in the closed-form period, before the integrator
+    pytest.param("classical", "--omega", "1e150", "1e+150", ("--t-end", "1e-150"),
+                 id="classical--omega-1e150"),
     # inside the integrator, which would warn and then abort
-    pytest.param("classical", "--omega", "1e150", "1e+150", (), id="classical--omega-1e150"),
+    pytest.param("classical", "--omega", "1e100", "1e+100", ("--t-end", "1e-98"),
+                 id="classical--omega-1e100"),
     # a tie in orders of magnitude names the first scale flag
     pytest.param("spectrum", "--lambda", "1e-300", "1e-300", ("--omega", "1e300"),
                  id="--lambda-1e-300--omega-1e300"),
@@ -507,6 +577,7 @@ def _cli_calls(out_dir):
         out,
     ), [("--t-end", "0"), ("--t-end", "-1"), ("--t-end", "inf"), ("--dim", "1"),
         ("--lambda", "-0.1"), ("--omega", "0"), ("--tolerance", "0"), ("--tolerance", "1e-300"),
+        ("--t-end", "1e300"),
         ("--seed", "x"), ("--format", "csv")])
     figures = command("figures", (
         st.sampled_from("12345").map(lambda w: ("--which", w)),

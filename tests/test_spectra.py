@@ -1,6 +1,7 @@
 """Radial solvers, eigenfunctions, degeneracy bookkeeping, threshold behavior."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -152,6 +153,17 @@ def test_ladder_inverts_the_flattening_once(monkeypatch, lam, m):
     assert sorted(assembled) == sorted(separate)
     for c, arrays in separate.items():
         assert all(np.array_equal(a, b) for a, b in zip(arrays, assembled[c])), c
+
+
+def test_ladder_weights_are_computed_once_per_grid():
+    # three flavors per isospectrality check, two checks: one computation
+    sp._ladder_weights.cache_clear()
+    for _ in range(2):
+        sp.isospectrality_check(P002, 0, k=3, m=400)
+    info = sp._ladder_weights.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+    # M divisible by 4: (E_(M/4) - 20 E_(M/2) + 64 E_M) / 45
+    assert sp._ladder_weights(400) == tuple(float(Fraction(n, 45)) for n in (1, -20, 64))
 
 
 def test_grid_warning_heuristic():
