@@ -7,37 +7,9 @@ Subpackages and modules:
             trajectory, conserved quantities
   spectra   radial bound-state solvers and closed-form eigenfunctions
   cli       command-line entry point (verify / spectrum / classical / figures)
+
+The package root imports nothing and exports only ``__version__``, so
+``import darboux3.algebra`` loads no numpy; import from the submodules.
 """
 
-from .model import (
-    EffectiveMinimum,
-    ModelParams,
-    classical_effective_minimum,
-    classical_effective_potential,
-    closed_form_energy,
-    continuum_threshold,
-    flattening_coordinate,
-    inverse_flattening,
-    oscillator_potential,
-    quantum_effective_minimum,
-    quantum_effective_potential,
-    scalar_curvature,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "EffectiveMinimum",
-    "ModelParams",
-    "classical_effective_minimum",
-    "classical_effective_potential",
-    "closed_form_energy",
-    "continuum_threshold",
-    "flattening_coordinate",
-    "inverse_flattening",
-    "oscillator_potential",
-    "quantum_effective_minimum",
-    "quantum_effective_potential",
-    "scalar_curvature",
-    "__version__",
-]

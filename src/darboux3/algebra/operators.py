@@ -8,8 +8,8 @@ push-through rule
     p^alpha f(q) = sum_{gamma <= alpha} binom(alpha, gamma) (-i*hbar)^|gamma|
                    (d^gamma f) p^(alpha - gamma),
 
-so two operators are equal iff their term maps coincide once every
-coefficient is put in canonical form, which equality does on demand.
+so two operators are equal iff their term maps have the same keys and equal
+coefficients, which compare by their difference, never in canonical form.
 Coefficients commute, so the gamma = 0 terms c_alpha*d_beta*p^(alpha+beta)
 of A*B and B*A are equal: a commutator is formed from the gamma != 0 terms
 of the two products alone.

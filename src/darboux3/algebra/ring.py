@@ -7,12 +7,13 @@ Coefficients of normal-ordered operators live in the ring
 i.e. polynomials with Gaussian-rational coefficients divided by powers of the
 single irreducible polynomial D.  Arithmetic never reduces: a sum keeps its
 numerator over the larger D-power and a product adds the powers.  Only
-printing and comparison need the canonical form, and ``Coefficient.canonical``
-gets it by dividing D out of the numerator for as long as D divides it.  That
-question is settled by trial division in ``divide_by_d``, so no general
-multivariate GCD machinery lives here.  The verifier asks only whether a
-result is zero, and num/D^k is zero exactly when num is, so a passing check
-never divides at all.
+printing and the verifier's D-power guard need the canonical form, and
+``Coefficient.canonical`` gets it by dividing D out of the numerator for as
+long as D divides it.  That question is settled by trial division in
+``divide_by_d``, so no general multivariate GCD machinery lives here.  The
+verifier asks only whether a result is zero, and num/D^k is zero exactly when
+num is, so a passing check never divides at all; equality asks the same of the
+difference.
 
 Packed monomials.  The variables are q_1..q_N, lambda, omega, hbar, in that
 order, and a monomial is one int: each of its nq+3 exponents sits in a slot of
@@ -428,8 +429,9 @@ class Coefficient:
     """Rational function numerator / D^dpow, stored as built.
 
     The arguments are kept as given, so the numerator may still hold factors
-    of D.  ``canonical`` divides them out; equality, printing and
-    ``OperatorExpr.max_d_power`` read that form, arithmetic never does.
+    of D.  ``canonical`` divides them out; printing and
+    ``OperatorExpr.max_d_power`` read that form, equality and arithmetic
+    never do.
 
     A Coefficient is never modified after construction: every operation
     returns a new one, and results may share ``num`` with their operands.
@@ -472,10 +474,7 @@ class Coefficient:
         return self.num.is_zero()
 
     def __eq__(self, other):
-        if not isinstance(other, Coefficient):
-            return False
-        a, b = self.canonical(), other.canonical()
-        return a.dpow == b.dpow and a.num == b.num
+        return isinstance(other, Coefficient) and (self - other).is_zero()
 
     def __bool__(self):
         return not self.num.is_zero()

@@ -244,17 +244,6 @@ def effective_1d_problem(problem, m=None, r=None):
     return diag, off, q, r
 
 
-def _grid_solve(problem, m, k, eigenvectors=False, r=None):
-    """Lowest min(k, m) levels of the flux form on m cells: (values, vectors,
-    r_centres), vectors (u at the centres) None unless asked for; ``r`` as
-    in effective_1d_problem."""
-    diag, off, _q, r = effective_1d_problem(problem, m=m, r=r)
-    result = eigh_tridiagonal(diag, off, select="i", select_range=(0, min(k, m) - 1),
-                              eigvals_only=not eigenvectors)
-    vals, vecs = result if eigenvectors else (result, None)
-    return vals, vecs, r
-
-
 def ladder_cells(m):
     """Cells of the grids of the Richardson ladder with finest grid m,
     coarsest first."""
@@ -270,28 +259,26 @@ def _ladder_weights(m):
     return tuple(float(math.prod(Fraction(sj, sj - sk) for sk in sq if sk != sj)) for sj in sq)
 
 
-def _richardson_ladder(solve, m):
+def _richardson_ladder(runs, m):
     """Levels of the three grids of ladder_cells(m), extrapolated to h = 0.
 
-    ``solve(cells)`` returns a tuple whose first item is that grid's lowest
-    levels, ascending.  Over one box h is proportional to 1/cells, and each
-    level has an error expansion in h^2; the levels all grids share are
-    replaced by the value at h = 0 of the quadratic in h^2 through the three
-    grids (weights _ladder_weights(m)), which cancels the h^2 and h^4 terms.
-    Returns (levels, orders, finest): orders[i] = log2 of the ratio of
-    successive single-grid differences of level i, the observed order of one
-    grid (nan where a difference is 0), and finest is what solve returned
-    for m itself.
+    ``runs`` holds each grid's lowest levels, ascending, coarsest grid first.
+    Over one box h is proportional to 1/cells, and each level has an error
+    expansion in h^2; the levels all grids share are replaced by the value at
+    h = 0 of the quadratic in h^2 through the three grids (weights
+    _ladder_weights(m)), which cancels the h^2 and h^4 terms.  Returns
+    (levels, orders): orders[i] = log2 of the ratio of successive single-grid
+    differences of level i, the observed order of one grid (nan where a
+    difference is 0).
     """
-    runs = [solve(c) for c in ladder_cells(m)]
-    n = min(run[0].size for run in runs)
-    e = [run[0][:n] for run in runs]
+    n = min(run.size for run in runs)
+    e = [run[:n] for run in runs]
     levels = sum(w * v for w, v in zip(_ladder_weights(m), e))
     d1, d2 = np.abs(e[0] - e[1]), np.abs(e[1] - e[2])
     measured = (d1 > 0) & (d2 > 0)
     orders = np.full(n, math.nan)
     orders[measured] = np.log2(d1[measured] / d2[measured])
-    return levels, orders, runs[-1]
+    return levels, orders
 
 
 def _grid_warnings(problem, h):
@@ -333,9 +320,16 @@ def solve_bound_states(problem, k=6, eigenvectors=False):
     # own inversion
     centres = np.concatenate([_cell_centres(grid.q_max, c) for c in cells])
     radii = np.split(inverse_flattening(problem.params, centres), np.cumsum(cells[:-1]))
-    radii = dict(zip(cells, radii))
-    extrapolated, orders, (_vals, vecs, r) = _richardson_ladder(
-        lambda m: _grid_solve(problem, m, k, eigenvectors and m == grid.m, r=radii[m]), grid.m)
+    runs = []
+    for c, r in zip(cells, radii):
+        diag, off, *_ = effective_1d_problem(problem, m=c, r=r)
+        finest = eigenvectors and c == grid.m
+        vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, min(k, c) - 1),
+                                eigvals_only=not finest)
+        if finest:
+            vals, vecs = vals
+        runs.append(vals)
+    extrapolated, orders = _richardson_ladder(runs, grid.m)
     threshold = continuum_threshold(problem.params)
     below = extrapolated < (1.0 - THRESHOLD_MARGIN) * threshold
     trusted = extrapolated[below][:k]
@@ -356,9 +350,9 @@ def solve_bound_states(problem, k=6, eigenvectors=False):
                 e_closed=closed_form_energy(problem.params, n),
             )
         )
-    if vecs is not None:
+    if eigenvectors:
         report.eigenvectors = vecs[:, : len(report.levels)]
-        report.r_nodes = r
+        report.r_nodes = radii[-1]
     return report
 
 
@@ -422,7 +416,7 @@ def isospectrality_check(params, l, k=6, m=ISOSPECTRAL_GRID):
     r_max = 1.25 * gaussian_tail_radius(params, 2 * (k - 1) + l)
     levels = {
         fl: _richardson_ladder(
-            lambda cells: (flavor_radial_solve(params, l, fl, r_max, k=k, m=cells),), m)[0]
+            [flavor_radial_solve(params, l, fl, r_max, k=k, m=c) for c in ladder_cells(m)], m)[0]
         for fl in FLAVORS
     }
     worst = 0.0

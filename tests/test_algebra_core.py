@@ -191,6 +191,12 @@ def test_coefficient_canonical_form():
     assert c.canonical().dpow == 1
     assert c.canonical().num == Poly.variable(nq, 0)
     assert c == Coefficient(Poly.variable(nq, 0), 1)
+    # equality needs neither side canonical: D^2*q1/D^2 (num*D over D^(k+1))
+    # against D*q1/D (num over D^k, num still divisible by D) is q1 twice,
+    # while D*q1/D^2 = q1/D is not q1
+    q1_d = d * Poly.variable(nq, 0)
+    assert Coefficient(q1_d * d, 2) == Coefficient(q1_d, 1)
+    assert Coefficient(q1_d, 2) != Coefficient(q1_d, 1)
     # zero is unique
     z = Coefficient(Poly.zero(nq), 5).canonical()
     assert z.dpow == 0 and z.is_zero()

@@ -4,8 +4,12 @@ The full N in {2,3} x flavor sweep lives in the acceptance suite; here the
 builders' structural identities are checked plus one complete dimension.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +133,21 @@ def test_verify_theorem_full_n2_all_flavors():
         rep = verify_theorem(flavor, 2)
         assert rep.all_zero, [c.lhs for c in rep.failures()]
         assert len(rep.checks) > 0
+
+
+def test_exact_engine_loads_no_numerics():
+    # in a fresh interpreter, because this test session has numpy loaded
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    script = (
+        "import sys, darboux3.algebra as a\n"
+        "assert a.verify_theorem('schrodinger', 2).all_zero\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_verify_theorem_spot_n3():

@@ -74,7 +74,11 @@ def test_levels_match_closed_form_with_extrapolation_oracle():
     # extrapolated once here, vs closed form to 1e-6; the default solve
     # (its own ladder over (M//4, M//2, M)) agrees with this oracle to 1e-5
     prob = sp.RadialProblem(P002, 1, grid=sp.default_grid(P002, 1, k=6))
-    coarse, fine = (sp._grid_solve(prob, m, 6)[0] for m in (4000, 8000))
+    coarse, fine = (
+        sp.eigh_tridiagonal(*sp.effective_1d_problem(prob, m=m)[:2], select="i",
+                            select_range=(0, 5), eigvals_only=True)
+        for m in (4000, 8000)
+    )
     oracle = (4.0 * fine - coarse) / 3.0
     for n_r, val in enumerate(oracle):
         closed = closed_form_energy(P002, 2 * n_r + 1)
@@ -153,6 +157,25 @@ def test_ladder_inverts_the_flattening_once(monkeypatch, lam, m):
     assert sorted(assembled) == sorted(separate)
     for c, arrays in separate.items():
         assert all(np.array_equal(a, b) for a, b in zip(arrays, assembled[c])), c
+
+
+@pytest.mark.parametrize("m", (800, 401))
+def test_richardson_ladder_cancels_h2_and_h4(m):
+    # E(c) = E0 + a/c^2 + b/c^4 over the ladder's grids: the quadratic in h^2
+    # through them is exact, so the extrapolation returns E0 to rounding
+    e0, a, b = np.array([1.5, 3.5, 5.5, 7.5]), np.array([2.0, -7.0, 30.0, 90.0]), 5e3
+    runs = [e0 + a / c**2 + b / c**4 for c in sp.ladder_cells(m)]
+    levels, orders = sp._richardson_ladder(runs, m)
+    np.testing.assert_allclose(levels, e0, rtol=1e-13)
+    # without the h^4 term each single grid is exactly second order; the
+    # differences are 1e-5 of the levels, so they keep about 11 digits
+    if m == 800:
+        _, orders = sp._richardson_ladder([e0 + a / c**2 for c in sp.ladder_cells(m)], m)
+        np.testing.assert_allclose(orders, 2.0, rtol=1e-10)
+    # runs of unequal length are cut to the shortest
+    levels, orders = sp._richardson_ladder([runs[0][:2], runs[1], runs[2][:3]], m)
+    assert levels.shape == orders.shape == (2,)
+    np.testing.assert_allclose(levels, e0[:2], rtol=1e-13)
 
 
 def test_ladder_weights_are_computed_once_per_grid():
