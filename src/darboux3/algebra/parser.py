@@ -12,21 +12,24 @@ Grammar (EBNF, also reproduced in the README):
 
 Indices run from 1 to N.  Division is only defined when the divisor is a
 scalar (a Gaussian-rational constant) or a power of D times a scalar; negative
-exponents are likewise restricted to such invertible atoms.  Atoms without a
-momentum (integers, i, q_k, lambda, omega, hbar, D) are ``Coefficient``s and
-stay in that ring through + - * / and ^; a value becomes an ``OperatorExpr``
-only when it meets a p_k operand, and a momentum-free result is wrapped at the
-end.  So the result is always normal-ordered, every product with a momentum
-on the left being evaluated inside the operator algebra; its coefficients are
-reduced when it is printed or compared.
+exponents are likewise restricted to such invertible atoms.  Values live on
+three levels.  Every atom but p_k is a monomial ``(key, re, im, den, e)``, i.e.
+(re + i*im)/den * m(key) * D^e with ``key`` packed as in ``ring``, so products,
+quotients and powers of atoms add keys and multiply integers.  A monomial
+becomes a ``Coefficient`` at + and - or where it meets a Coefficient or an
+``OperatorExpr``; a value becomes an OperatorExpr only when it meets a p_k
+operand, and a momentum-free result is wrapped at the end.  So the result is
+always normal-ordered, every product with a momentum on the left being
+evaluated inside the operator algebra; its coefficients are reduced when it is
+printed or compared.
 """
 
 from __future__ import annotations
 
 import re
-from math import comb
+from math import comb, gcd
 
-from .ring import Coefficient, Poly, _d_power, _reduced, d_poly
+from .ring import Coefficient, Poly, _check, _d_power, _guard, _key, _reduced
 from .operators import OperatorExpr
 
 
@@ -64,7 +67,6 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text, nq):
-        self.text = text
         self.nq = nq
         self.tokens = _tokenize(text)
         self.k = 0
@@ -89,7 +91,7 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
-                rhs = self.term()
+                out, rhs = self.coefficient(out), self.coefficient(self.term())
                 if type(out) is not type(rhs):
                     out, rhs = self.promote(out), self.promote(rhs)
                 out = out + rhs if val == "+" else out - rhs
@@ -109,11 +111,23 @@ class _Parser:
             else:
                 return out
 
+    def coefficient(self, x):
+        """x as a Coefficient when it is a monomial, else x itself."""
+        if type(x) is not tuple:
+            return x
+        key, re, im, den, e = x
+        num = Poly(self.nq, {key: (re, im)} if re or im else {}, den)  # already reduced
+        return Coefficient(num, -e) if e <= 0 else Coefficient(num * _d_power(self.nq, e))
+
     def promote(self, x):
         """x as an OperatorExpr (a Coefficient becomes a multiplication operator)."""
+        x = self.coefficient(x)
         return OperatorExpr.from_coefficient(self.nq, x) if isinstance(x, Coefficient) else x
 
     def multiply(self, x, y):
+        if type(x) is tuple and type(y) is tuple:
+            return _product(self.nq, x, y)
+        x, y = self.coefficient(x), self.coefficient(y)
         # a coefficient on the left scales every term; only an operator on
         # the left needs the push-through product
         if isinstance(x, Coefficient):
@@ -130,7 +144,9 @@ class _Parser:
             self.advance()
             kind, val, _ = self.peek()
         out = self.power()
-        return out if sign > 0 else -out
+        if sign < 0:
+            out = _product(self.nq, _MINUS_ONE, out) if type(out) is tuple else -out
+        return out
 
     # power := atom [ ^ exponent ]
     def power(self):
@@ -140,10 +156,9 @@ class _Parser:
         if kind == "op" and val == "^":
             self.advance()
             n = self.exponent()
-            if n >= 0:
-                out = out ** n
-            else:
-                out = _invert(out, self.nq, pos) ** (-n)
+            if n < 0:
+                out, n = _invert(out, self.nq, pos), -n
+            out = _power(self.nq, out, n) if type(out) is tuple else out ** n
         return out
 
     def exponent(self):
@@ -165,19 +180,19 @@ class _Parser:
         kind, val, pos = self.advance()
         nq = self.nq
         if kind == "int":
-            return Coefficient(Poly.constant(nq, val))
+            return 0, val, 0, 1, 0
         if kind == "name":
             if val == "i":
-                return Coefficient(Poly.constant(nq, 0, 1))
+                return 0, 0, 1, 1, 0
             if val in _SYMBOLS:
-                return Coefficient(Poly.variable(nq, _SYMBOLS[val](nq)))
+                return _key(nq, _SYMBOLS[val](nq), 1), 1, 0, 1, 0
             if val == "D":
-                return Coefficient(d_poly(nq))
+                return 0, 1, 0, 1, 1
             idx = int(val[1:]) - 1
             if not 0 <= idx < nq:
                 raise ParseError(f"index of {val!r} out of range for N={nq}", pos)
             if val[0] == "q":
-                return Coefficient(Poly.variable(nq, idx))
+                return _key(nq, idx, 1), 1, 0, 1, 0
             return OperatorExpr.momentum(nq, idx)
         if kind == "op" and val == "(":
             out = self.expr()
@@ -187,11 +202,49 @@ class _Parser:
 
 
 _SYMBOLS = {"lambda": Poly.idx_lambda, "omega": Poly.idx_omega, "hbar": Poly.idx_hbar}
+_ZERO, _ONE, _MINUS_ONE = (0, 0, 0, 1, 0), (0, 1, 0, 1, 0), (0, -1, 0, 1, 0)
+
+
+def _monomial(nq, key, re, im, den, e):
+    """The monomial (re + i*im)/den * m(key) * D^e in lowest terms, its key
+    checked as ``Poly.__mul__`` checks a product; zero is ``_ZERO``."""
+    if not (re or im):
+        return _ZERO
+    if key & _guard(nq):
+        _check(nq, (key,))
+    g = gcd(re, im, den)
+    return key, re // g, im // g, den // g, e
+
+
+def _product(nq, x, y):
+    k1, a, b, d1, e1 = x
+    k2, c, d, d2, e2 = y
+    return _monomial(nq, k1 + k2, a * c - b * d, a * d + b * c, d1 * d2, e1 + e2)
+
+
+def _power(nq, x, n):
+    """x^n for n >= 0 along the chain of squares and products of
+    ``Poly.__pow__``, so that an overflow names the same variable."""
+    out = _ONE
+    while n:
+        if n & 1:
+            out = _product(nq, out, x)
+        n >>= 1
+        if n:
+            x = _product(nq, x, x)
+    return out
 
 
 def _invert(x, nq, pos):
-    """Inverse Coefficient of a scalar or (scalar * D-power) divisor that
-    starts at ``pos``; rejects the rest."""
+    """Inverse of a scalar or (scalar * D-power) divisor that starts at
+    ``pos``: a monomial for a monomial, else a Coefficient; rejects the rest."""
+    if type(x) is tuple:
+        key, re, im, den, e = x
+        if key:  # zero has key 0
+            raise ParseError("division only by scalars and powers of D", pos)
+        if not (re or im):
+            raise ParseError("division by zero", pos)
+        return _monomial(nq, 0, den * re, -den * im, re * re + im * im, -e)
     if isinstance(x, OperatorExpr):
         zero_alpha = (0,) * nq
         if x.terms.keys() - {zero_alpha}:

@@ -314,6 +314,8 @@ class Poly:
 
 def _format_scalar(a, b, den):
     """(a + i*b)/den as printed: "3/2", "i", "-1*i", "2/3*i", "(1/2-3/4*i)"."""
+    if not b and den == 1:
+        return str(a)
     re, im = Fraction(a, den), Fraction(b, den)
     if not im:
         return str(re)

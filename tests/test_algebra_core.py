@@ -292,9 +292,15 @@ def test_parse_division_by_d_powers_and_scalars():
     # a divisor that carries its own D-power
     assert parse("q1/D^-1", 2) == parse("q1*D", 2)
     assert parse("q1/(2*D^-1*D^-1)", 2) == parse("q1*D^2/2", 2)
+    # sums are recognized as s*D^k by comparing them with D-powers
+    d_inverse = parse("D^-1", 2)
+    assert parse("1/(D + 0)", 2) == d_inverse
+    assert parse("1/(1 + lambda*q1^2 + lambda*q2^2)", 2) == d_inverse
+    assert parse("q1/(2*D*D + 0)", 2) == parse("q1*D^-2/2", 2)
 
 
-@pytest.mark.parametrize("text, pos", [("1/0", 2), ("1/(2-2)", 2), ("0^-1", 0), ("q1/(p1-p1)", 3)])
+@pytest.mark.parametrize("text, pos", [("1/0", 2), ("1/(2-2)", 2), ("0^-1", 0), ("q1/(p1-p1)", 3),
+                                       ("1/(0*q1)", 2)])
 def test_division_by_zero_is_reported_at_the_divisor(text, pos):
     with pytest.raises(ParseError) as exc:
         parse(text, 2)
@@ -324,6 +330,14 @@ def test_packed_exponent_bound():
                        (f"p1*q2^{top}*q2", "q2"), (f"omega^{top}*(1 + 2*omega)^3", "omega")):
         with pytest.raises(OverflowError, match=f"exponent of {name} exceeds {top}"):
             parse(text, 2)
+    # a power names the first variable past the bound on its chain of squares
+    for text, name in (("(q1*q2^2)^20000", "q2"), ("(q1*q2)^40000", "q1")):
+        with pytest.raises(OverflowError) as exc:
+            parse(text, 2)
+        assert str(exc.value) == f"exponent of {name} exceeds {top}"
+    # a zero product has no monomial left to overflow
+    assert parse("(0*q1)^40000", 2).is_zero()
+    assert parse(f"0*q1^{top}*q1", 2).is_zero()
     with pytest.raises(OverflowError, match="outside"):
         Poly.variable(2, 0, top + 1)
     # a quotient at the bound, and a partial quotient past it, which proves
@@ -332,6 +346,15 @@ def test_packed_exponent_bound():
     assert divide_by_d(s * d_poly(2)) == s
     x = parse(f"(q1^{top - 1} + lambda*q1^{top - 1})/D", 2)
     assert str(x) == f"(q1^{top - 1}*lambda + q1^{top - 1})/D"
+
+
+def test_large_scalar_powers_are_exact():
+    assert parse("2^3000", 2) == parse("2^1500*2^1500", 2)
+    assert str(parse("2^3000", 2)) == f"({2**3000})"
+    assert parse("(1+i)^200", 2) == parse(str(2**100), 2)
+    assert parse("(2*i)^101/2^100", 2) == parse("2*i", 2)
+    assert parse("(-3/2*i)^-3", 2) == parse("-8/27*i", 2)
+    assert str(parse("(2*q1/(3*D))^3", 2)) == "(8/27*q1^3)/D^3"
 
 
 def _random_expression(rng, depth=0):

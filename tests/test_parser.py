@@ -1,13 +1,16 @@
 """The parser against plain OperatorExpr arithmetic, and golden printed forms.
 
-``parse`` keeps momentum-free values in the Coefficient ring and builds an
-operator only when a momentum appears.  The differential test draws
-expressions from the README grammar and compares each parse with the same
-expression built term by term with OperatorExpr arithmetic, where every atom
-is an operator and every product goes through normal ordering.
+``parse`` keeps products of momentum-free atoms as packed monomials, their
+sums in the Coefficient ring, and builds an operator only when a momentum
+appears.  The differential test draws expressions from the README grammar and
+compares each parse with the same expression built term by term with
+OperatorExpr arithmetic, where every atom is an operator and every product
+goes through normal ordering.  The README's own examples run as doctests.
 """
 
+import doctest
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -60,13 +63,20 @@ def _over_d_power(a, k):
     return f"({a[0]})/D^{k}", a[1] * _d_inverse(k)
 
 
+def _over_scaled_d_power(a, c, k):
+    inverse = Coefficient(Poly.constant(NQ, Fraction(1, c)), k)
+    return f"({a[0]})/({c}*D^{k})", a[1] * _op(inverse)
+
+
 def _extend(children):
     return st.one_of(
         st.builds(_binary, st.sampled_from("+-*"), children, children),
         children.map(lambda a: (f"-({a[0]})", -a[1])),
-        st.builds(_power, children, st.integers(0, 2)),
+        st.builds(_power, children, st.integers(0, 4)),
         st.builds(_over_gaussian, children, st.integers(1, 5), st.integers(-2, 2)),
         st.builds(_over_d_power, children, st.integers(1, 2)),
+        st.builds(_over_scaled_d_power, children, st.integers(-3, 3).filter(bool),
+                  st.integers(0, 2)),
     )
 
 
@@ -137,3 +147,9 @@ def test_template_forms_are_golden():
         x = parse(text, n)
         assert str(x) == printed, text
         assert parse(printed, n) == x
+
+
+def test_readme_examples_run_as_doctests():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.attempted == 3 and result.failed == 0
