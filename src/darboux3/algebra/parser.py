@@ -279,7 +279,7 @@ def parse(text, nq):
 
     Returns the normal-ordered OperatorExpr; raises ParseError with the
     offending position on bad syntax or an illegal division, and
-    OverflowError when an exponent passes ``ring.MAX_EXPONENT``.
+    OverflowError past ``ring.MAX_EXPONENT`` or ``ring.MAX_D_POWER``.
     """
     p = _Parser(text, nq)
     out = p.expr()

@@ -45,6 +45,10 @@ from operator import or_
 
 SLOT_BITS = 16
 MAX_EXPONENT = (1 << (SLOT_BITS - 1)) - 1
+# largest power of D the ring expands into a polynomial: verify at N = 2..8
+# and the parse round trips of the verify-residual corpus reach D^3, and
+# D^12 has 125,970 monomials at N = 8
+MAX_D_POWER = 12
 _MASK = (1 << SLOT_BITS) - 1
 
 
@@ -353,15 +357,31 @@ def _reduced(nq, terms, den):
     return Poly(nq, {e: (a // g, b // g) for e, (a, b) in terms.items()}, den // g)
 
 
-@cache
+# D^0..D^k per nq, built on demand; a longer list replaces a shorter one, so
+# a reader never sees a list being extended
+_D_POWERS = {}
+
+
 def _d_power(nq, k):
-    """D**k, built once per (nq, k) and shared by every caller."""
-    if k == 0:
-        return Poly.constant(nq, 1)
-    if k > 1:
-        return _d_power(nq, k - 1) * _d_power(nq, 1)
-    lam = _key(nq, Poly.idx_lambda(nq), 1)
-    return Poly(nq, {0: (1, 0), **{_key(nq, i, 2) + lam: (1, 0) for i in range(nq)}})
+    """D**k, built once per (nq, k) and shared by every caller.
+
+    Each missing power is the one below it times D, from the largest power
+    built so far.  D^k has comb(k + nq, nq) monomials, so a power above
+    ``MAX_D_POWER`` raises OverflowError.
+    """
+    powers = _D_POWERS.get(nq)
+    if powers is None or k >= len(powers):
+        if k > MAX_D_POWER:
+            raise OverflowError(f"exponent {k} of D is outside 0..{MAX_D_POWER}")
+        if powers is None:
+            lam = _key(nq, Poly.idx_lambda(nq), 1)
+            powers = [Poly.constant(nq, 1),
+                      Poly(nq, {0: (1, 0), **{_key(nq, i, 2) + lam: (1, 0) for i in range(nq)}})]
+        powers = list(powers)
+        while len(powers) <= k:
+            powers.append(powers[-1] * powers[1])
+        _D_POWERS[nq] = powers
+    return powers[k]
 
 
 def d_poly(nq):

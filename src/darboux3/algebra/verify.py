@@ -3,6 +3,9 @@
 Every check reduces an operator identity to normal-ordered form and asks for
 the exact zero operator; no numeric evaluation is involved.  A
 nonzero residual is kept (pretty-printed) so a failing run shows what is left.
+The tlb and tpdm suites are computed in the Schrödinger frame and carried
+over by the similarity H_X = D^a H D^(-a), which each run proves exactly for
+the operators it reads (see ``verify_theorem``).
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from itertools import combinations
 from .operators import OperatorExpr, weighted_adjoint
 from .builders import (
     FLAVORS,
+    angular_momentum_component,
     build_angular_invariants,
     build_fradkin,
     build_hamiltonian,
@@ -90,14 +94,21 @@ def _residual_check(name_lhs, name_rhs, residual):
     )
 
 
-def _commutator_check(name_a, a, name_b, b):
-    res = a.commutator(b)
+def _commutator_check(name_a, a, name_b, b, expo=0):
+    """[a, b] carried to the frame D^expo, as a check that it is zero."""
+    res = a.commutator(b).conjugate_by_d_power(expo)
     if res.momentum_degree() > MAX_COMMUTATOR_MOMENTUM_DEGREE or res.max_d_power() > MAX_COMMUTATOR_D_POWER:
         raise AssertionError(
             f"commutator [{name_a}, {name_b}] exceeded degree bounds: "
             f"momentum {res.momentum_degree()}, D-power {res.max_d_power()}"
         )
     return _residual_check(f"[{name_a}, {name_b}]", "0", res)
+
+
+def _preimage(x, s, gap, expo):
+    """The Schrödinger-frame operator whose D^expo conjugate is x: s when
+    ``gap`` = x - D^expo s D^(-expo) is zero, else x conjugated back."""
+    return s if gap.is_zero() else x.conjugate_by_d_power(-expo)
 
 
 def verify_theorem(flavor, nq, parts=ALL_PARTS, fradkin=None):
@@ -110,6 +121,19 @@ def verify_theorem(flavor, nq, parts=ALL_PARTS, fradkin=None):
       'sl2'          the sl(2,R) commutation relations in the q/p realization
       'conjugation'  Fradkin entries match the D-power conjugates of the
                      direct-quantization tensor
+
+    tlb and tpdm are checked in the Schrödinger frame.  Conjugation by D^a
+    (a = conjugation_exponent) is an algebra automorphism, so
+    [H_X, I_X] = D^a [H, I] D^(-a): each check is computed once on the
+    preimages of the operators it reads and its residual is conjugated back
+    by D^a, which gives the operator, text and degree bounds of the flavor's
+    own commutator.  The preimages are proven here, exactly: H and the
+    schrodinger Fradkin entries wherever their D^a conjugates equal H_X and
+    the given entries (the differences are the conjugation part's
+    residuals), else the flavor's operator conjugated by D^(-a), as for a
+    corrupted entry; the C ladders are their own preimages once every L_ij
+    is fixed by D^a.  At a = 0 (schrodinger, and tlb at N = 2) every
+    operator is its own preimage and nothing is conjugated.
 
     A prebuilt (possibly corrupted) ``fradkin`` tensor may be injected for
     mutation testing.  Functional independence (part iii of the statements)
@@ -124,22 +148,41 @@ def verify_theorem(flavor, nq, parts=ALL_PARTS, fradkin=None):
     if unknown:
         raise ValueError(f"unknown theorem parts {sorted(unknown)}")
     report = VerifyReport(flavor=flavor, dim=nq)
-    h = build_hamiltonian(flavor, nq)
     hname = f"H_{flavor}"
     angular = build_angular_invariants(nq)
     if fradkin is None:
         fradkin = build_fradkin(flavor, nq)
+    read = [(i, j) for i in range(nq) for j in range(i, nq)
+            if any(PART_READS_ENTRY[p](i, j) for p in parts)]
+    h = build_hamiltonian(flavor, nq) if "i" in parts else None
+    entry = {(i, j): fradkin[i][j] for i, j in read}
+    ladder = angular
+    # each entry read less the D^a conjugate of the schrodinger entry: the
+    # conjugation part's residual, and the proof of the entry's preimage
+    gap = {}
+    if read and (expo or "conjugation" in parts):
+        base = build_fradkin("schrodinger", nq)
+        gap = {(i, j): fradkin[i][j] - base[i][j].conjugate_by_d_power(expo) for i, j in read}
+    if expo:  # every operator read becomes its Schrödinger-frame preimage
+        entry = {(i, j): _preimage(entry[i, j], base[i][j], gap[i, j], expo) for i, j in read}
+        if h is not None:
+            s = build_hamiltonian("schrodinger", nq)
+            h = _preimage(h, s, h - s.conjugate_by_d_power(expo), expo)
+            # the ladders are sums of L_ij^2: fixed by D^a when every L_ij is
+            lij = [angular_momentum_component(nq, i, j) for i, j in combinations(range(nq), 2)]
+            if not all(l.conjugate_by_d_power(expo) == l for l in lij):
+                ladder = {name: c.conjugate_by_d_power(-expo) for name, c in angular.items()}
 
     if "i" in parts:
-        for name, c in angular.items():
-            report.checks.append(_commutator_check(hname, h, name, c))
-        for i in range(nq):
-            for j in range(i, nq):
-                report.checks.append(
-                    _commutator_check(hname, h, f"I_{i+1}{j+1}", fradkin[i][j])
-                )
-        trace = sum((fradkin[i][i] for i in range(nq)), OperatorExpr.zero(nq))
-        report.checks.append(_residual_check(hname, "(1/2) sum_i I_ii", h + h - trace))
+        for name, c in ladder.items():
+            report.checks.append(_commutator_check(hname, h, name, c, expo))
+        for i, j in read:
+            report.checks.append(
+                _commutator_check(hname, h, f"I_{i+1}{j+1}", entry[i, j], expo)
+            )
+        trace = sum((entry[i, i] for i in range(nq)), OperatorExpr.zero(nq))
+        residual = (h + h - trace).conjugate_by_d_power(expo)
+        report.checks.append(_residual_check(hname, "(1/2) sum_i I_ii", residual))
 
     if "ii" in parts:
         for prefix in ("C^", "C_"):
@@ -148,7 +191,7 @@ def verify_theorem(flavor, nq, parts=ALL_PARTS, fradkin=None):
                 report.checks.append(_commutator_check(a, angular[a], b, angular[b]))
         for i, j in combinations(range(nq), 2):
             report.checks.append(_commutator_check(
-                f"I_{i+1}{i+1}", fradkin[i][i], f"I_{j+1}{j+1}", fradkin[j][j]))
+                f"I_{i+1}{i+1}", entry[i, i], f"I_{j+1}{j+1}", entry[j, j], expo))
 
     if "sl2" in parts:
         jp, jm, j3 = sl2_generators(nq)
@@ -164,17 +207,14 @@ def verify_theorem(flavor, nq, parts=ALL_PARTS, fradkin=None):
         )
 
     if "conjugation" in parts:
-        base = build_fradkin("schrodinger", nq)
-        for i in range(nq):
-            for j in range(i, nq):
-                conj = base[i][j].conjugate_by_d_power(expo)
-                report.checks.append(
-                    _residual_check(
-                        f"I_{flavor},{i+1}{j+1}",
-                        f"D^({expo}) I_{i+1}{j+1} D^(-{expo})",
-                        fradkin[i][j] - conj,
-                    )
+        for i, j in read:
+            report.checks.append(
+                _residual_check(
+                    f"I_{flavor},{i+1}{j+1}",
+                    f"D^({expo}) I_{i+1}{j+1} D^(-{expo})",
+                    gap[i, j],
                 )
+            )
     return report
 
 

@@ -1,6 +1,7 @@
 """Exact ring arithmetic, normal ordering, parsing, and algebra properties."""
 
 import random
+import time
 from fractions import Fraction
 from math import comb, perm
 
@@ -348,6 +349,25 @@ def test_packed_exponent_bound():
     assert str(x) == f"(q1^{top - 1}*lambda + q1^{top - 1})/D"
 
 
+def test_d_power_bound():
+    # a power of D is expanded only up to ring.MAX_D_POWER; a larger one, or
+    # a sum whose D-powers differ by more, raises OverflowError naming D at
+    # once, without recursing once per power
+    top = ring.MAX_D_POWER
+    for text, k in (("q1*D^-1000 + 1", 1000), ("D^1000", 1000),
+                    (f"D^{top + 1} + q1", top + 1), (f"q1*D^-{top + 1} + 1", top + 1)):
+        start = time.process_time()
+        with pytest.raises(OverflowError) as exc:
+            parse(text, 2)
+        assert time.process_time() - start < 1
+        assert str(exc.value) == f"exponent {k} of D is outside 0..{top}"
+    # at the bound D^top is built, each power from the one below it
+    assert parse(f"q1*D^-{top} + 1", 2) == parse(f"(q1 + D^{top})*D^-{top}", 2)
+    assert ring._d_power(2, top) == ring._d_power(2, top - 1) * d_poly(2)
+    assert len(ring._d_power(2, top).terms) == comb(top + 2, 2)
+    assert str(parse("D^-1000", 2)) == "(1)/D^1000"
+
+
 def test_large_scalar_powers_are_exact():
     assert parse("2^3000", 2) == parse("2^1500*2^1500", 2)
     assert str(parse("2^3000", 2)) == f"({2**3000})"
@@ -439,15 +459,22 @@ def test_products_with_warm_tables_match_cold_copies():
 
 
 def test_push_through_tables_match_fresh_expansions(monkeypatch):
-    # the Hamiltonian verify_theorem builds is pushed through every invariant;
-    # afterwards its coefficients are as built and every table entry is the
-    # expansion _push_through derives anew, less the leading (alpha, c) pair
+    # verify_theorem("tlb", 3) pushes the Schrödinger-frame Hamiltonian, the
+    # preimage of H_tlb, through every invariant; afterwards its coefficients
+    # are as built and every table entry is the expansion _push_through
+    # derives anew, less the leading (alpha, c) pair
     built, original = [], verify.build_hamiltonian
-    monkeypatch.setattr(verify, "build_hamiltonian",
-                        lambda flavor, nq: built.append(original(flavor, nq)) or built[-1])
+
+    def record(flavor, nq):
+        h = original(flavor, nq)
+        if flavor == "schrodinger":
+            built.append(h)
+        return h
+
+    monkeypatch.setattr(verify, "build_hamiltonian", record)
     verify_theorem("tlb", 3)
     h, = built
-    assert _stored(h) == _stored(original("tlb", 3))
+    assert _stored(h) == _stored(original("schrodinger", 3))
     entries = 0
     for c in h.terms.values():
         for alpha, pairs in (c.pushed or {}).items():

@@ -1,13 +1,16 @@
 """Operator constructors and symmetry-algebra verification (unit scale).
 
 The full N in {2,3} x flavor sweep lives in the acceptance suite; here the
-builders' structural identities are checked plus one complete dimension.
+builders' structural identities are checked plus one complete dimension, and
+verify_theorem's reports against the direct commutators of each flavor's own
+operators at N = 2..4.
 """
 
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 from pathlib import Path
 
@@ -21,6 +24,7 @@ from darboux3.algebra import (
     build_fradkin,
     build_hamiltonian,
     conformal_potential_identity,
+    conjugation_exponent,
     corrupt_fradkin,
     parse,
     potential_u1,
@@ -32,6 +36,7 @@ from darboux3.algebra import (
     symbol_gradients,
     verify_theorem,
 )
+from darboux3.algebra import verify
 
 
 def test_hamiltonian_text_form():
@@ -196,6 +201,98 @@ def test_report_json_shape():
     assert body["all_zero"] is True
     for check in body["checks"]:
         assert set(check) >= {"lhs", "rhs", "commutator_zero", "residual_terms"}
+
+
+# -- the direct route: every check on the flavor's own operators ------------
+
+
+def _direct_check(lhs, rhs, residual):
+    out = {"lhs": lhs, "rhs": rhs, "commutator_zero": residual.is_zero(),
+           "residual_terms": residual.term_count()}
+    if residual:
+        out["residual"] = str(residual)
+    return out
+
+
+def _direct_commutator(name_a, a, name_b, b):
+    res = a.commutator(b)
+    assert res.momentum_degree() <= verify.MAX_COMMUTATOR_MOMENTUM_DEGREE
+    assert res.max_d_power() <= verify.MAX_COMMUTATOR_D_POWER
+    return _direct_check(f"[{name_a}, {name_b}]", "0", res)
+
+
+def _direct_checks(flavor, nq, fradkin):
+    """The checks of each part, from H_flavor, the C ladders and ``fradkin``
+    commuted directly; the sl2 relations and the conjugation residuals as
+    the statements write them."""
+    h, hname = build_hamiltonian(flavor, nq), f"H_{flavor}"
+    angular = build_angular_invariants(nq)
+    entries = [(i, j) for i in range(nq) for j in range(i, nq)]
+    trace = sum((fradkin[i][i] for i in range(nq)), OperatorExpr.zero(nq))
+    part_i = [_direct_commutator(hname, h, name, c) for name, c in angular.items()]
+    part_i += [_direct_commutator(hname, h, f"I_{i+1}{j+1}", fradkin[i][j]) for i, j in entries]
+    part_i.append(_direct_check(hname, "(1/2) sum_i I_ii", h + h - trace))
+    part_ii = [_direct_commutator(a, angular[a], b, angular[b])
+               for prefix in ("C^", "C_")
+               for a, b in combinations([f"{prefix}({m})" for m in range(2, nq + 1)], 2)]
+    part_ii += [_direct_commutator(f"I_{i+1}{i+1}", fradkin[i][i], f"I_{j+1}{j+1}", fradkin[j][j])
+                for i, j in combinations(range(nq), 2)]
+    jp, jm, j3 = sl2_generators(nq)
+    ih = parse("i*hbar", nq)
+    sl2 = [_direct_check("[J3, J+]", "2i*hbar*J+", j3 * jp - jp * j3 - ih * jp * 2),
+           _direct_check("[J3, J-]", "-2i*hbar*J-", j3 * jm - jm * j3 + ih * jm * 2),
+           _direct_check("[J-, J+]", "4i*hbar*J3", jm * jp - jp * jm - ih * j3 * 4)]
+    a, base = conjugation_exponent(flavor, nq), build_fradkin("schrodinger", nq)
+    conj = [_direct_check(f"I_{flavor},{i+1}{j+1}", f"D^({a}) I_{i+1}{j+1} D^(-{a})",
+                          fradkin[i][j] - base[i][j].conjugate_by_d_power(a))
+            for i, j in entries]
+    return {"i": part_i, "ii": part_ii, "sl2": sl2, "conjugation": conj}
+
+
+def _direct_report(flavor, nq, parts, checks):
+    body = [c for part in verify.ALL_PARTS if part in parts for c in checks[part]]
+    return {"flavor": flavor, "N": nq, "all_zero": all(c["commutator_zero"] for c in body),
+            "checks": body}
+
+
+@pytest.mark.parametrize("nq", [2, 3, 4])
+@pytest.mark.parametrize("flavor", ["schrodinger", "tlb", "tpdm"])
+def test_verify_theorem_matches_direct_commutators(flavor, nq):
+    # tlb and tpdm are verified in the Schrödinger frame and carried back by
+    # D^a; each part alone and all together must give the report of the
+    # flavor's own commutators, and every check is zero
+    checks = _direct_checks(flavor, nq, build_fradkin(flavor, nq))
+    for parts in [(part,) for part in verify.ALL_PARTS] + [verify.ALL_PARTS]:
+        expected = _direct_report(flavor, nq, parts, checks)
+        assert verify_theorem(flavor, nq, parts=parts).to_json() == expected
+        assert expected["all_zero"]
+
+
+def test_mutated_tlb_tensor_matches_direct_commutators():
+    # -4a(1+a) -> -4a(1-a) in the hbar^2*lambda^2*q_i*q_j/D^2 term of every
+    # tlb entry at N = 3: no entry is the conjugate of the schrodinger one,
+    # so every entry is carried over by D^(-a), and the residuals carried
+    # back must be the direct commutators, text and all
+    nq = 3
+    a = conjugation_exponent("tlb", nq)
+    tensor = build_fradkin("tlb", nq)
+    mutant = [[tensor[i][j] + parse(f"{8 * a * a}*hbar^2*lambda^2*q{i+1}*q{j+1}*D^-2", nq)
+               for j in range(nq)] for i in range(nq)]
+    report = verify_theorem("tlb", nq, fradkin=mutant).to_json()
+    assert report == _direct_report("tlb", nq, verify.ALL_PARTS,
+                                    _direct_checks("tlb", nq, mutant))
+    failed = [c for c in report["checks"] if not c["commutator_zero"]]
+    assert len(failed) == 16
+    assert all(c["residual_terms"] and c["residual"] for c in failed)
+    # a first-order change to I_11 leaves a residual with momenta in the
+    # trace identity, which the carrying back must conjugate too
+    mutant = [row[:] for row in tensor]
+    mutant[0][0] = tensor[0][0] + parse("hbar*lambda*q1*p1/D", nq)
+    report = verify_theorem("tlb", nq, fradkin=mutant).to_json()
+    assert report == _direct_report("tlb", nq, verify.ALL_PARTS,
+                                    _direct_checks("tlb", nq, mutant))
+    trace, = [c for c in report["checks"] if c["rhs"] == "(1/2) sum_i I_ii"]
+    assert "p1" in trace["residual"]
 
 
 # a rational phase-space point at N = 3, lambda = 1/50, omega = 1
