@@ -12,7 +12,6 @@ from darboux3.algebra import (
     build_angular_invariants,
     build_fradkin,
     build_hamiltonian,
-    conformal_potential_identity,
     corrupt_fradkin,
     parse,
     similarity_checks,
@@ -28,7 +27,7 @@ print("p1*D^-1              ->", parse("p1*D^-1", 2))
 print()
 
 print("=" * 70)
-print("2. The five Hamiltonian flavors (N=3)")
+print("2. The three Hamiltonian flavors H_X = D^a H D^(-a) (N=3)")
 print("=" * 70)
 h = build_hamiltonian("schrodinger", 3)
 print("H           =", h)
@@ -61,8 +60,8 @@ print("5. Similarity identities and the conformal-potential relation")
 print("=" * 70)
 for check in similarity_checks(3):
     print(f"{check.lhs:38s} == {check.rhs:38s} {check.commutator_zero}")
-print("conformal identity N in (2,3,4,5):",
-      [conformal_potential_identity(n) for n in (2, 3, 4, 5)])
+print("conformal identity U2 = hbar^2 (N-2) R / (8 (N-1)), N in (2,3,4,5):",
+      [c.commutator_zero for n in (2, 3, 4, 5) for c in similarity_checks(n) if c.lhs == "U2"])
 print()
 
 print("=" * 70)

@@ -18,7 +18,7 @@ rng = np.random.default_rng(7)
 print("=" * 70)
 print("1. A bounded orbit and its invariant drift (t in [0, 100], tol 1e-10)")
 print("=" * 70)
-state = cl.random_state(params, rng, 3)
+state = cl.random_state(params, rng)
 energy = cl.classical_hamiltonian(params, state)
 print(f"initial energy H = {energy:.6f} < threshold {continuum_threshold(params)}")
 record = cl.integrate(params, state, 100.0, tolerance=1e-10)

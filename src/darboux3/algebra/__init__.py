@@ -10,16 +10,12 @@ from .builders import (
     build_hamiltonian,
     conjugation_exponent,
     curvature_coefficient,
-    potential_u1,
     potential_u2,
-    potential_v1,
-    potential_v2,
     sl2_generators,
 )
 from .verify import (
     Check,
     VerifyReport,
-    conformal_potential_identity,
     corrupt_fradkin,
     similarity_checks,
     verify_theorem,
@@ -36,17 +32,13 @@ __all__ = [
     "build_angular_invariants",
     "build_fradkin",
     "build_hamiltonian",
-    "conformal_potential_identity",
     "conjugation_exponent",
     "corrupt_fradkin",
     "curvature_coefficient",
     "d_poly",
     "divide_by_d",
     "parse",
-    "potential_u1",
     "potential_u2",
-    "potential_v1",
-    "potential_v2",
     "q_squared",
     "similarity_checks",
     "sl2_generators",

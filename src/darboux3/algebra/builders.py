@@ -1,12 +1,16 @@
 """Constructors for the curved-oscillator operators, exact in lambda, omega, hbar.
 
 Dimension N is a concrete small integer; lambda, omega and hbar stay symbolic
-indeterminates so every verification is parameter-independent.
+indeterminates so every verification is parameter-independent.  Each flavor
+enters only through its conjugation exponent a: its Hamiltonian and Fradkin
+tensor are the D^a conjugates of the direct quantization's, written out in
+closed form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .ring import Coefficient, Poly, q_squared
 from .operators import OperatorExpr
@@ -30,18 +34,7 @@ def _lam(nq, power=1):
 
 def _alpha(nq, *axes):
     """Momentum exponents with one power of p_i per listed axis i."""
-    alpha = [0] * nq
-    for i in axes:
-        alpha[i] += 1
-    return tuple(alpha)
-
-
-def base_hamiltonian(nq):
-    """H = (p^2 + omega^2 q^2) / (2 D), the direct quantization."""
-    half = Coefficient(Poly.constant(nq, Fraction(1, 2)), 1)
-    terms = {_alpha(nq, i, i): half for i in range(nq)}
-    terms[(0,) * nq] = Coefficient(_omega_sq(nq) * q_squared(nq) * Fraction(1, 2), 1)
-    return OperatorExpr(nq, terms)
+    return tuple(axes.count(i) for i in range(nq))
 
 
 def _q_dot_p(nq, a):
@@ -61,53 +54,30 @@ def _central(nq, a):
     return OperatorExpr.from_coefficient(nq, Coefficient(num, 3))
 
 
-def potential_u1(nq):
-    """Momentum-dependent correction of the Laplace-Beltrami kinetic term:
-    -i*hbar*lambda*(N-2)/(2 D^2) * (q.p)."""
-    return _q_dot_p(nq, conjugation_exponent("tlb", nq))
-
-
 def potential_u2(nq):
-    """Central quantum potential restoring the full symmetry of the LB choice:
+    """The tlb central part, the quantum potential that the conformal identity
+    ties to the scalar curvature:
     -hbar^2*lambda*(N-2)*(2N + 3*lambda*q^2*(N-2)) / (8 D^3)."""
     return _central(nq, conjugation_exponent("tlb", nq))
 
 
-def potential_v1(nq):
-    """Momentum-dependent correction of the symmetric PDM kinetic term:
-    +i*hbar*lambda/D^2 * (q.p)."""
-    return _q_dot_p(nq, conjugation_exponent("tpdm", nq))
-
-
-def potential_v2(nq):
-    """Central quantum potential restoring the full symmetry of the PDM choice:
-    +hbar^2*lambda*(N + lambda*q^2*(N-3)) / (2 D^3)."""
-    return _central(nq, conjugation_exponent("tpdm", nq))
-
-
 def build_hamiltonian(flavor, nq):
-    """Quantum Hamiltonian for one of the five quantization prescriptions.
+    """Quantum Hamiltonian H_flavor = D^a H D^(-a), a = conjugation_exponent.
 
-    schrodinger: H            (direct division by the conformal factor)
-    lb:          H + U1       (Laplace-Beltrami kinetic operator)
-    tlb:         H + U1 + U2  (= D^((2-N)/4) H D^(-(2-N)/4))
-    pdm:         H + V1       (symmetric position-dependent-mass ordering)
-    tpdm:        H + V1 + V2  (= D^(1/2) H D^(-1/2))
+    H = (p^2 + omega^2 q^2) / (2 D) is the direct quantization (schrodinger,
+    a = 0); the conjugate adds the first-order part _q_dot_p and the central
+    part _central, both zero at a = 0.  tlb (a = (2-N)/4) is the
+    Laplace-Beltrami kinetic operator plus the conformal potential U2, tpdm
+    (a = 1/2) the symmetric position-dependent-mass ordering plus its central
+    potential.  ValueError outside FLAVORS.
     """
     if nq < 2:
         raise ValueError("dimension must be at least 2")
-    h = base_hamiltonian(nq)
-    if flavor == "schrodinger":
-        return h
-    if flavor == "lb":
-        return h + potential_u1(nq)
-    if flavor == "tlb":
-        return h + potential_u1(nq) + potential_u2(nq)
-    if flavor == "pdm":
-        return h + potential_v1(nq)
-    if flavor == "tpdm":
-        return h + potential_v1(nq) + potential_v2(nq)
-    raise ValueError(f"unknown flavor {flavor!r}")
+    a = conjugation_exponent(flavor, nq)
+    half = Coefficient(Poly.constant(nq, Fraction(1, 2)), 1)
+    terms = {_alpha(nq, i, i): half for i in range(nq)}
+    terms[(0,) * nq] = Coefficient(_omega_sq(nq) * q_squared(nq) * Fraction(1, 2), 1)
+    return OperatorExpr(nq, terms) + _q_dot_p(nq, a) + _central(nq, a)
 
 
 def conjugation_exponent(flavor, nq):
@@ -128,29 +98,23 @@ def angular_momentum_component(nq, i, j):
 def build_angular_invariants(nq):
     """The 2N-3 distinct angular observables, keyed 'C^(m)' and 'C_(m)'.
 
-    C^(m) sums the squared angular momenta over the first m axes, C_(m) over
-    the last m; the two ladders meet at m = N where C^(N) = C_(N) (stored once
-    under both keys).
+    C^(m) sums the squared angular momenta L_ij^2 over the pairs of the first
+    m axes, C_(m) over the last m; both ladders are one sum over an axis
+    range, and at m = N the two ranges are the same, so C^(N) and C_(N) are
+    one object stored under both keys.
     """
     if nq < 2:
         raise ValueError("dimension must be at least 2")
     squares = {}
-    for i in range(nq):
-        for j in range(i + 1, nq):
-            lij = angular_momentum_component(nq, i, j)
-            squares[(i, j)] = lij * lij
-    out = {}
+    for i, j in combinations(range(nq), 2):
+        lij = angular_momentum_component(nq, i, j)
+        squares[i, j] = lij * lij
+    out, sums = {}, {}
     for m in range(2, nq + 1):
-        acc = OperatorExpr.zero(nq)
-        for i in range(m):
-            for j in range(i + 1, m):
-                acc = acc + squares[(i, j)]
-        out[f"C^({m})"] = acc
-        acc = OperatorExpr.zero(nq)
-        for i in range(nq - m, nq):
-            for j in range(i + 1, nq):
-                acc = acc + squares[(i, j)]
-        out[f"C_({m})"] = acc
+        for name, axes in ((f"C^({m})", range(m)), (f"C_({m})", range(nq - m, nq))):
+            if axes not in sums:  # range(N) and range(0, N) are equal keys
+                sums[axes] = sum((squares[ij] for ij in combinations(axes, 2)), OperatorExpr.zero(nq))
+            out[name] = sums[axes]
     return out
 
 
@@ -161,8 +125,6 @@ def build_fradkin(flavor, nq):
     -2*lambda*q_i*q_j*H_flavor term, so the trace identity
     H_flavor = (1/2) sum_i I_ii holds exactly.
     """
-    if flavor not in FLAVORS:
-        raise ValueError(f"no Fradkin tensor for flavor {flavor!r}")
     a = conjugation_exponent(flavor, nq)
     h = build_hamiltonian(flavor, nq)
     lam = _lam(nq)
@@ -187,8 +149,7 @@ def build_fradkin(flavor, nq):
                 entry._put((0,) * nq, Coefficient(qij * hb2 * _lam(nq, 2) * (-4 * a * (1 + a)), 2))
                 if i == j:
                     entry._put((0,) * nq, Coefficient(hb2 * lam * (2 * a), 1))
-            tensor[i][j] = entry
-            tensor[j][i] = entry
+            tensor[i][j] = tensor[j][i] = entry
     return tensor
 
 

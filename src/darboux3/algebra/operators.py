@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import product as _cartesian
 from math import comb, prod
 
-from .ring import Coefficient, Poly, _key
+from .ring import MAX_EXPONENT, Coefficient, Poly, _key
 
 # powers of -i cycle with period 4, as (re, im) pairs
 _MINUS_I_POW = ((1, 0), (0, -1), (-1, 0), (0, 1))
@@ -140,8 +140,13 @@ class OperatorExpr:
         return out
 
     def __pow__(self, n):
+        """self multiplied in n times (repeated squaring made (q1 + p1)^30
+        three times slower); OverflowError when the momentum degree would pass
+        ring.MAX_EXPONENT, the bound of every exponent of q."""
         if n < 0:
             raise ValueError("negative operator power")
+        if self.momentum_degree() * n > MAX_EXPONENT:
+            raise OverflowError(f"momentum degree {self.momentum_degree() * n} exceeds {MAX_EXPONENT}")
         out = OperatorExpr.identity(self.nq)
         for _ in range(n):
             out = out * self
@@ -256,7 +261,9 @@ def _pushed(alpha, coeff):
         table = coeff.pushed = {}
     out = table.get(alpha)
     if out is None:
-        out = table[alpha] = list(_push_through(alpha, coeff))[1:]
+        # every derivative of a constant is zero: only the leading pair
+        constant = coeff.dpow == 0 and coeff.num.is_constant()
+        out = table[alpha] = [] if constant else list(_push_through(alpha, coeff))[1:]
     return out
 
 

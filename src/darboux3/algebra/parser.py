@@ -22,6 +22,9 @@ operand, and a momentum-free result is wrapped at the end.  So the result is
 always normal-ordered, every product with a momentum on the left being
 evaluated inside the operator algebra; its coefficients are reduced when it is
 printed or compared.
+
+Parentheses nest at most ``MAX_NESTING`` levels deep, counted over atoms and
+exponents together.
 """
 
 from __future__ import annotations
@@ -31,6 +34,12 @@ from math import comb, gcd
 
 from .ring import Coefficient, Poly, _check, _d_power, _guard, _key, _reduced
 from .operators import OperatorExpr
+
+
+# each level costs the descent six frames (nested, expr .. atom), so this
+# stays far below the interpreter's recursion limit; verify's residuals nest
+# at most 3 levels
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -70,6 +79,7 @@ class _Parser:
         self.nq = nq
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.k]
@@ -83,6 +93,16 @@ class _Parser:
         kind, val, pos = self.advance()
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}", pos)
+
+    def nested(self, inner, pos):
+        """``inner()`` between the parenthesis opened at ``pos`` and its close."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+        out = inner()
+        self.expect_op(")")
+        self.depth -= 1
+        return out
 
     # expr := term { (+|-) term }
     def expr(self):
@@ -164,9 +184,7 @@ class _Parser:
     def exponent(self):
         kind, val, pos = self.advance()
         if kind == "op" and val == "(":
-            n = self.exponent()
-            self.expect_op(")")
-            return n
+            return self.nested(self.exponent, pos)
         if kind == "op" and val == "-":
             kind2, val2, pos2 = self.advance()
             if kind2 != "int":
@@ -195,9 +213,7 @@ class _Parser:
                 return _key(nq, idx, 1), 1, 0, 1, 0
             return OperatorExpr.momentum(nq, idx)
         if kind == "op" and val == "(":
-            out = self.expr()
-            self.expect_op(")")
-            return out
+            return self.nested(self.expr, pos)
         raise ParseError("expected a value", pos)
 
 

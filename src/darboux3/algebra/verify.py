@@ -238,25 +238,15 @@ def similarity_checks(nq):
                               ("schrodinger", "tpdm", "D^(1/2) H D^(-1/2)"),
                               ("tlb", "tpdm", "D^(N/4) H_tlb D^(-N/4)"))
     ]
-    checks.append(_conformal_check(nq))
+    r = curvature_coefficient(nq) * Fraction(nq - 2, 8 * (nq - 1))
+    rhs = OperatorExpr.from_coefficient(nq, r).scale(Coefficient(Poly.variable(nq, Poly.idx_hbar(nq), 2)))
+    checks.append(_residual_check("U2", "hbar^2 (N-2) R / (8 (N-1))", potential_u2(nq) - rhs))
     for f, name, weight in (("schrodinger", "H", "weight D"),
                             ("tlb", "H_tlb", "weight D^(N/2)"),
                             ("tpdm", "H_tpdm", "standard L2")):
         residual = weighted_adjoint(hs[f], 1 - 2 * a[f]) - hs[f]
         checks.append(_residual_check(f"{name}^dagger ({weight})", name, residual))
     return checks
-
-
-def _conformal_check(nq):
-    r = curvature_coefficient(nq) * Fraction(nq - 2, 8 * (nq - 1))
-    hbar_sq = Coefficient(Poly.variable(nq, Poly.idx_hbar(nq), 2))
-    rhs = OperatorExpr.from_coefficient(nq, r).scale(hbar_sq)
-    return _residual_check("U2", "hbar^2 (N-2) R / (8 (N-1))", potential_u2(nq) - rhs)
-
-
-def conformal_potential_identity(nq):
-    """True iff U2 equals hbar^2 (N-2)/(8(N-1)) times the scalar curvature."""
-    return _conformal_check(nq).commutator_zero
 
 
 def fradkin_label_indices(label, nq):

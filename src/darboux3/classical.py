@@ -382,14 +382,14 @@ def independence_rank(params, state, names=None):
     return rank
 
 
-def random_state(params, rng, dim, bounded=True):
+def random_state(params, rng, *, bounded=True):
     """Random phase-space point with q and p uniform on the cube [-1, 1]^N,
-    redrawn while |q| or |p| is below 0.2 and, when ``bounded``, while H is
-    at or above 0.9 times the continuum threshold."""
+    N = params.dim, redrawn while |q| or |p| is below 0.2 and, when
+    ``bounded``, while H is at or above 0.9 times the continuum threshold."""
     threshold = continuum_threshold(params)
     for _ in range(1000):
-        q = rng.uniform(-1.0, 1.0, dim)
-        p = rng.uniform(-1.0, 1.0, dim)
+        q = rng.uniform(-1.0, 1.0, params.dim)
+        p = rng.uniform(-1.0, 1.0, params.dim)
         if np.linalg.norm(q) < 0.2 or np.linalg.norm(p) < 0.2:
             continue
         state = PhaseState(q=q, p=p)

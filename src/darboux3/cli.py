@@ -273,7 +273,7 @@ def cmd_classical(args):
 def _classical(args):
     params = ModelParams(dim=args.dim, lam=args.lam, omega=args.omega)
     rng = np.random.default_rng(args.seed)
-    state = cl.random_state(params, rng, args.dim)
+    state = cl.random_state(params, rng)
     record = cl.integrate(params, state, args.t_end, tolerance=args.tolerance)
     closure = cl.orbit_closure(params, state, record)
     names = cl.independence_names(args.dim)[1:]  # all but H itself

@@ -383,7 +383,8 @@ def _sl_potential(flavor, r, params, l):
 
 
 def flavor_radial_solve(params, l, flavor, r_max, k=6, m=ISOSPECTRAL_GRID):
-    """Lowest-k levels of one flavor's own radial equation in r on (0, r_max).
+    """Lowest min(k, m) levels of one flavor's own radial equation in r on
+    (0, r_max), the rule solve_bound_states applies to each grid.
 
     Finite-volume flux discretization on cell centers (i-1/2)h with fluxes on
     faces i*h, i = 0..m.  The face at r = 0 carries p(0) = 0 (p has the factor
@@ -399,15 +400,16 @@ def flavor_radial_solve(params, l, flavor, r_max, k=6, m=ISOSPECTRAL_GRID):
     c = params.hbar**2 / (2.0 * h * h)
     diag = c * (p_face[:-1] + p_face[1:]) / w_cent + v
     off = -c * p_face[1:-1] / np.sqrt(w_cent[:-1] * w_cent[1:])
-    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True)
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, min(k, m) - 1), eigvals_only=True)
 
 
 def isospectrality_check(params, l, k=6, m=ISOSPECTRAL_GRID):
     """Pairwise spectral agreement of the three independently discretized
-    radial flavors on the lowest k levels.
+    radial flavors on the lowest min(k, m//4) levels.
 
     Each flavor is solved on the grids of the ladder (m//4, m//2, m) over one
-    common box, and _richardson_ladder extrapolates them.  Returns a dict with the per-flavor level
+    common box, each grid for min(k, cells) levels, and _richardson_ladder
+    extrapolates the levels all three share.  Returns a dict with the per-flavor level
     arrays, the worst pairwise relative deviation, and a boolean verdict at
     ISOSPECTRAL_TOLERANCE.  At N = 2 the schrodinger and tlb flavors coincide
     (conjugation_exponent is 0 for both); the algebra engine proves

@@ -201,7 +201,7 @@ def test_criterion_7_classical_suite():
     worst_drift, worst_bracket, worst_closure = 0.0, 0.0, 0.0
     ranks = set()
     for _ in range(20):
-        state = cl.random_state(params, rng, 3)
+        state = cl.random_state(params, rng)
         record = cl.integrate(params, state, 100.0, tolerance=1e-10)
         worst_drift = max(worst_drift, record.max_drift)
         for name in cl.invariant_names(3):

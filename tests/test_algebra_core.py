@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from darboux3.algebra import operators, ring, verify
+from darboux3.algebra import operators, parser, ring, verify
 from darboux3.algebra import (
     Coefficient,
     OperatorExpr,
@@ -366,6 +366,43 @@ def test_d_power_bound():
     assert ring._d_power(2, top) == ring._d_power(2, top - 1) * d_poly(2)
     assert len(ring._d_power(2, top).terms) == comb(top + 2, 2)
     assert str(parse("D^-1000", 2)) == "(1)/D^1000"
+
+
+def test_parse_nesting_bound():
+    # 200 levels used to raise RecursionError through atom, 1200 through
+    # exponent; past parser.MAX_NESTING the opening parenthesis that crosses
+    # it is reported
+    top = parser.MAX_NESTING
+    for text, pos in (("(" * 200 + "q1" + ")" * 200, top),
+                      ("q1^" + "(" * 1200 + "2" + ")" * 1200, top + 3),
+                      # atoms and exponents count together
+                      ("(" * (top - 1) + "q1^((2))" + ")" * (top - 1), top + 3)):
+        with pytest.raises(ParseError) as exc:
+            parse(text, 2)
+        assert str(exc.value) == f"parentheses nested deeper than {top} (at position {pos})"
+    assert parse("(" * top + "q1" + ")" * top, 2) == parse("q1", 2)
+    assert parse("q1^" + "(" * top + "2" + ")" * top, 2) == parse("q1^2", 2)
+
+
+def test_momentum_power_bound():
+    # p1^2000 took seconds (n products, each re-expanding p1^k past the
+    # constant coefficient of p1); a momentum degree past ring.MAX_EXPONENT
+    # now raises OverflowError at once
+    start = time.process_time()
+    assert str(parse("p1^2000", 2)) == "(1)*p1^2000"
+    assert time.process_time() - start < 1
+    top = ring.MAX_EXPONENT
+    for text, degree in (("p1^40000", 40000), ("(p1^300)^300", 90000),
+                         (f"(p1*p2)^{top // 2 + 1}", top + 1), (f"(q1 + p2)^{top + 1}", top + 1)):
+        start = time.process_time()
+        with pytest.raises(OverflowError) as exc:
+            parse(text, 2)
+        assert time.process_time() - start < 1
+        assert str(exc.value) == f"momentum degree {degree} exceeds {top}"
+    # a constant coefficient's push-through table entry is empty, as the
+    # expansion's entry past the leading pair is
+    c = Coefficient.constant(2, 3)
+    assert operators._pushed((5, 2), c) == list(operators._push_through((5, 2), c))[1:] == []
 
 
 def test_large_scalar_powers_are_exact():

@@ -17,20 +17,17 @@ from pathlib import Path
 import pytest
 
 from darboux3.algebra import (
+    FLAVORS,
     Coefficient,
     OperatorExpr,
     Poly,
     build_angular_invariants,
     build_fradkin,
     build_hamiltonian,
-    conformal_potential_identity,
     conjugation_exponent,
     corrupt_fradkin,
     parse,
-    potential_u1,
     potential_u2,
-    potential_v1,
-    potential_v2,
     similarity_checks,
     sl2_generators,
     symbol_gradients,
@@ -44,29 +41,43 @@ def test_hamiltonian_text_form():
     assert h == parse("(1/(2*D))*(p1^2+p2^2) + (omega^2/(2*D))*(q1^2+q2^2)", 2)
 
 
+def _flavor_parts(flavor, nq):
+    """H_flavor - H as (first-order part, momentum-free part); nothing else
+    may be left."""
+    diff = build_hamiltonian(flavor, nq) - build_hamiltonian("schrodinger", nq)
+    assert {sum(alpha) for alpha in diff.terms} <= {0, 1}
+    return (OperatorExpr(nq, {a: c for a, c in diff.terms.items() if sum(a) == 1}),
+            OperatorExpr(nq, {a: c for a, c in diff.terms.items() if sum(a) == 0}))
+
+
 def test_lb_equals_schrodinger_only_at_n2():
-    assert build_hamiltonian("lb", 2) == build_hamiltonian("schrodinger", 2)
-    assert build_hamiltonian("lb", 3) != build_hamiltonian("schrodinger", 3)
+    # the Laplace-Beltrami flavor's corrections carry the factor N - 2
     assert build_hamiltonian("tlb", 2) == build_hamiltonian("schrodinger", 2)
     for nq in (3, 4, 5):
         assert build_hamiltonian("tlb", nq) != build_hamiltonian("schrodinger", nq)
-    assert potential_u1(2).is_zero()
     assert potential_u2(2).is_zero()
-    assert not potential_v1(2).is_zero()  # PDM corrections survive at N=2
-    assert not potential_v2(2).is_zero()
+    first, free = _flavor_parts("tpdm", 2)
+    assert not first.is_zero() and not free.is_zero()  # PDM corrections survive at N=2
 
 
 def test_flavor_decompositions():
+    # H_f - H = 2a*i*hbar*lambda/D^2 (q.p) + a momentum-free part, the
+    # conformal potential U2 for tlb and V2 for tpdm
     for nq in (2, 3):
-        h = build_hamiltonian("schrodinger", nq)
-        assert build_hamiltonian("lb", nq) == h + potential_u1(nq)
-        assert build_hamiltonian("tlb", nq) == h + potential_u1(nq) + potential_u2(nq)
-        assert build_hamiltonian("pdm", nq) == h + potential_v1(nq)
-        assert build_hamiltonian("tpdm", nq) == h + potential_v1(nq) + potential_v2(nq)
-        # tlb minus schrodinger minus U1 is exactly U2
-        assert build_hamiltonian("tlb", nq) - h - potential_u1(nq) == potential_u2(nq)
-    with pytest.raises(ValueError):
-        build_hamiltonian("weyl", 3)
+        qp = " + ".join(f"D^-2*q{i}*p{i}" for i in range(1, nq + 1))
+        q2 = "(" + " + ".join(f"q{i}^2" for i in range(1, nq + 1)) + ")"
+        for flavor in FLAVORS:
+            a = conjugation_exponent(flavor, nq)
+            first, free = _flavor_parts(flavor, nq)
+            assert first == parse(f"({2 * a})*i*hbar*lambda*({qp})", nq)
+            if flavor == "tlb":
+                assert free == potential_u2(nq) == parse(
+                    f"-hbar^2*lambda*({nq - 2})*({2 * nq} + 3*lambda*{q2}*({nq - 2}))/8*D^-3", nq)
+            if flavor == "tpdm":
+                assert free == parse(f"hbar^2*lambda*({nq} + lambda*{q2}*({nq - 3}))/2*D^-3", nq)
+    for flavor in ("weyl", "lb", "pdm"):
+        with pytest.raises(ValueError):
+            build_hamiltonian(flavor, 3)
 
 
 def test_tlb_flat_limit_is_flat_oscillator():
@@ -82,7 +93,8 @@ def test_angular_invariant_counts_and_n2_form():
     inv3 = build_angular_invariants(3)
     distinct = {str(v) for v in inv3.values()}
     assert len(distinct) == 3  # 2N-3 with C^(3) = C_(3)
-    assert inv3["C^(3)"] == inv3["C_(3)"]
+    assert inv3["C^(3)"] is inv3["C_(3)"]  # one sum over the axis range 0..N-1
+    assert inv2["C^(2)"] is inv2["C_(2)"]
 
 
 def test_fradkin_flat_limit_and_trace():
@@ -125,12 +137,16 @@ def test_sl2_relations():
 
 
 def test_intermediate_flavors_keep_angular_symmetry():
-    # lb and pdm (without their central corrections) still commute with the
-    # full angular ladder; only the Fradkin tensor needs the transformed forms
-    for flavor in ("lb", "pdm"):
-        h = build_hamiltonian(flavor, 3)
+    # H plus the first-order part alone (the Laplace-Beltrami and the
+    # symmetric PDM kinetic operators, without their central corrections)
+    # still commutes with the full angular ladder; only the Fradkin tensor
+    # needs the transformed forms
+    h = build_hamiltonian("schrodinger", 3)
+    for flavor in ("tlb", "tpdm"):
+        first, _ = _flavor_parts(flavor, 3)
+        assert not first.is_zero()
         for c in build_angular_invariants(3).values():
-            assert h.commutator(c).is_zero()
+            assert (h + first).commutator(c).is_zero()
 
 
 def test_verify_theorem_full_n2_all_flavors():
@@ -181,8 +197,10 @@ def test_corrupted_invariant_reports_residual():
 
 
 def test_conformal_potential_identity_dimensions():
+    # U2 = hbar^2 (N-2) R / (8 (N-1)), as similarity_checks reports it
     for nq in (2, 3, 5):
-        assert conformal_potential_identity(nq)
+        (u2,) = [c for c in similarity_checks(nq) if c.lhs == "U2"]
+        assert u2.commutator_zero and u2.rhs == "hbar^2 (N-2) R / (8 (N-1))"
 
 
 def test_similarity_checks_n2_n3():

@@ -59,7 +59,7 @@ def test_equations_of_motion_match_gradient_oracle():
     rng = np.random.default_rng(42)
     h = 1e-6
     for _ in range(5):
-        st = cl.random_state(PARAMS, rng, 3)
+        st = cl.random_state(PARAMS, rng)
         dq, dp = cl.equations_of_motion(PARAMS, st)
         z = st.as_vector()
         for k in range(6):
@@ -85,7 +85,7 @@ def test_equations_of_motion_match_exact_gradients(dim):
     for lam in (0.0, 0.02, 0.3):
         params = ModelParams(dim=dim, lam=lam, omega=omega)
         for _ in range(10):
-            st = cl.random_state(params, rng, dim, bounded=False)
+            st = cl.random_state(params, rng, bounded=False)
             dq, dp = cl.equations_of_motion(params, st)
             q, p = ([Fraction(x) for x in v.tolist()] for v in (st.q, st.p))
             grad = symbol_gradients([h], q, p, Fraction(lam), Fraction(omega))[0]
@@ -100,7 +100,7 @@ def test_equations_of_motion_match_exact_gradients(dim):
 
 def test_invariants_structure():
     rng = np.random.default_rng(1)
-    st = cl.random_state(PARAMS, rng, 3)
+    st = cl.random_state(PARAMS, rng)
     inv = cl.classical_invariants(PARAMS, st)
     # trace identity to near machine precision
     h = inv["H"]
@@ -121,7 +121,7 @@ def test_invariants_structure():
 
 def test_integration_drift_and_error_paths():
     rng = np.random.default_rng(5)
-    st = cl.random_state(PARAMS, rng, 3)
+    st = cl.random_state(PARAMS, rng)
     rec = cl.integrate(PARAMS, st, 100.0, tolerance=1e-10)
     assert rec.max_drift < 1e-7
     assert len(rec.samples) == 501
@@ -134,7 +134,7 @@ def test_integration_drift_and_error_paths():
 def test_integration_self_consistency_two_tolerances():
     # energy drift < 1e-8 at t_end = 1e3, certified by two tolerances 1e2 apart
     rng = np.random.default_rng(11)
-    st = cl.random_state(PARAMS, rng, 3)
+    st = cl.random_state(PARAMS, rng)
     loose = cl.integrate(PARAMS, st, 1000.0, tolerance=1e-10)
     tight = cl.integrate(PARAMS, st, 1000.0, tolerance=1e-12)
     assert tight.drift["H"] < 1e-8
@@ -158,7 +158,7 @@ def test_unbounded_motion_above_threshold():
 
 def test_bounded_motion_below_threshold():
     rng = np.random.default_rng(3)
-    st = cl.random_state(PARAMS, rng, 3)
+    st = cl.random_state(PARAMS, rng)
     assert cl.classical_hamiltonian(PARAMS, st) < continuum_threshold(PARAMS)
     rec = cl.integrate(PARAMS, st, 200.0, tolerance=1e-9)
     assert max(np.linalg.norm(s.q) for s in rec.samples) < 10.0
@@ -177,7 +177,7 @@ def test_orbit_closure_flat_period():
 
 def test_orbit_closure_deformed_and_inconclusive():
     rng = np.random.default_rng(17)
-    st = cl.random_state(PARAMS, rng, 3)
+    st = cl.random_state(PARAMS, rng)
     res = cl.orbit_closure(PARAMS, st, cl.integrate(PARAMS, st, 1.0, tolerance=1e-10))
     assert res["conclusive"]
     assert res["closure_distance"] < 1e-4
@@ -196,7 +196,7 @@ def test_nonunit_omega_period_and_drift():
     assert res["period_measured"] == pytest.approx(math.pi, abs=1e-8)
     deformed = ModelParams(dim=3, lam=0.05, omega=2.0)
     rng = np.random.default_rng(1)
-    st2 = cl.random_state(deformed, rng, 3)
+    st2 = cl.random_state(deformed, rng)
     rec = cl.integrate(deformed, st2, 100.0, tolerance=1e-10)
     assert rec.max_drift < 1e-7
     res2 = cl.orbit_closure(deformed, st2, rec)
@@ -205,7 +205,7 @@ def test_nonunit_omega_period_and_drift():
 
 def test_poisson_brackets_vanish_with_h():
     rng = np.random.default_rng(23)
-    st = cl.random_state(PARAMS, rng, 3)
+    st = cl.random_state(PARAMS, rng)
     for name in cl.invariant_names(3):
         if name == "H":
             continue
@@ -214,7 +214,7 @@ def test_poisson_brackets_vanish_with_h():
 
 def test_involution_sets():
     rng = np.random.default_rng(29)
-    st = cl.random_state(PARAMS, rng, 3)
+    st = cl.random_state(PARAMS, rng)
     sets = (
         ["H", "C^(2)", "C^(3)"],
         ["H", "C_(2)", "C^(3)"],  # C_(3) = C^(3)
@@ -227,13 +227,26 @@ def test_involution_sets():
 
 def test_independence_ranks():
     rng = np.random.default_rng(31)
-    st3 = cl.random_state(PARAMS, rng, 3)
+    st3 = cl.random_state(PARAMS, rng)
     assert cl.independence_rank(PARAMS, st3) == 5
     involutive = ["H", "C_(2)", "C^(3)"]
     assert cl.independence_rank(PARAMS, st3, names=involutive) == 3
     p2 = ModelParams(dim=2, lam=0.02)
-    st2 = cl.random_state(p2, rng, 2)
+    st2 = cl.random_state(p2, rng)
     assert cl.independence_rank(p2, st2) == 3
+
+
+def test_random_state_takes_its_dimension_from_the_parameters():
+    # the same draws as before, now sized by params.dim; a dimension passed
+    # where it used to go is refused, not taken for ``bounded``
+    for dim in (2, 3, 5):
+        params = ModelParams(dim=dim, lam=0.02)
+        st = cl.random_state(params, np.random.default_rng(dim))
+        rng = np.random.default_rng(dim)
+        q, p = rng.uniform(-1.0, 1.0, dim), rng.uniform(-1.0, 1.0, dim)
+        assert st.dim == dim and np.array_equal(st.q, q) and np.array_equal(st.p, p)
+    with pytest.raises(TypeError):
+        cl.random_state(PARAMS, np.random.default_rng(0), 5)
 
 
 def test_each_gradient_row_is_computed_once_per_command(monkeypatch):
@@ -253,7 +266,7 @@ def test_each_gradient_row_is_computed_once_per_command(monkeypatch):
     monkeypatch.setattr(cl, "symbol_gradients", gradients)
     cl._point_rows.cache_clear()
     params = ModelParams(dim=dim, lam=0.02)
-    state = cl.random_state(params, np.random.default_rng(4), dim)
+    state = cl.random_state(params, np.random.default_rng(4))
     try:
         names = cl.independence_names(dim)
         for name in names[1:]:
@@ -270,7 +283,7 @@ def test_radial_reduction_triple_equality():
     for dim in (2, 3, 4, 5):
         params, flat = ModelParams(dim=dim, lam=0.02), ModelParams(dim=dim, lam=0.0)
         for _ in range(5):
-            st = cl.random_state(params, rng, dim)
+            st = cl.random_state(params, rng)
             assert cl.radial_reduction_check(params, st)
             # p^2 = p_r^2 + L^2/r^2 with p_r = q.p/|q|, and L^2 = C^(N)
             r = np.linalg.norm(st.q)
@@ -279,7 +292,7 @@ def test_radial_reduction_triple_equality():
                       for i in range(dim) for j in range(i + 1, dim))
             assert st.p @ st.p == pytest.approx(p_r**2 + lsq / r**2, rel=1e-12)
             assert cl.classical_invariants(params, st)[f"C^({dim})"] == pytest.approx(lsq, rel=1e-12)
-        st = cl.random_state(flat, rng, dim, bounded=False)
+        st = cl.random_state(flat, rng, bounded=False)
         assert cl.radial_reduction_check(flat, st)
         # radial state: vanishing angular momentum
         radial = cl.PhaseState(q=np.linspace(0.7, 0.1, dim), p=np.linspace(0.7, 0.1, dim))
@@ -311,7 +324,7 @@ def _reference_bracket(params, f, g, state):
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_integrate_drift_matches_per_sample_loop(dim):
     params = ModelParams(dim=dim, lam=0.03)
-    st = cl.random_state(params, np.random.default_rng(100 + dim), dim)
+    st = cl.random_state(params, np.random.default_rng(100 + dim))
     rec = cl.integrate(params, st, 30.0, tolerance=1e-10)
     ref = cl.classical_invariants(params, st)
     worst = {name: 0.0 for name in ref}
@@ -337,7 +350,7 @@ def test_integrate_drift_matches_per_sample_loop(dim):
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_fd_brackets_and_rank_match_reference(dim):
     params = ModelParams(dim=dim, lam=0.02, omega=1.3)
-    st = cl.random_state(params, np.random.default_rng(200 + dim), dim)
+    st = cl.random_state(params, np.random.default_rng(200 + dim))
     names = cl.invariant_names(dim) + [f"C_({dim})"]
     for name in names[1:]:
         expect = _reference_bracket(params, "H", name, st)
@@ -364,7 +377,7 @@ def test_fd_brackets_and_rank_match_reference(dim):
 def test_exact_certificate_mutation_controls():
     # the exact brackets and rank still see what is not an invariant or not
     # independent
-    st = cl.random_state(PARAMS, np.random.default_rng(7), 3)
+    st = cl.random_state(PARAMS, np.random.default_rng(7))
     q = [Fraction(x) for x in st.q.tolist()]
     p = [Fraction(x) for x in st.p.tolist()]
     lam, omega = Fraction(PARAMS.lam), Fraction(PARAMS.omega)
@@ -382,7 +395,7 @@ def test_exact_certificate_mutation_controls():
 
 def test_involution_matrix_accepts_c_lower_n():
     rng = np.random.default_rng(43)
-    st = cl.random_state(PARAMS, rng, 3)
+    st = cl.random_state(PARAMS, rng)
     mat = cl.involution_matrix(PARAMS, ["H", "C_(2)", "C_(3)", "C^(3)"], st)
     assert mat.shape == (4, 4)
     assert np.max(np.abs(mat)) == 0.0
@@ -430,7 +443,7 @@ def test_closed_form_period_matches_measured_return(dim):
     for lam, omega in DEFORMED:
         params = ModelParams(dim=dim, lam=lam, omega=omega)
         for _ in range(2):
-            st = cl.random_state(params, rng, dim)
+            st = cl.random_state(params, rng)
             res = cl.orbit_closure(params, st, cl.integrate(params, st, 1.0, tolerance=1e-12))
             period = cl.closed_form_period(params, cl.classical_hamiltonian(params, st))
             assert res["period"] == period
@@ -458,7 +471,7 @@ def test_orbit_closure_unbounded_skips_integration(monkeypatch):
 
 def test_closure_reads_the_one_solve_past_a_short_t_end():
     rng = np.random.default_rng(17)
-    st = cl.random_state(PARAMS, rng, 3)
+    st = cl.random_state(PARAMS, rng)
     period = cl.closed_form_period(PARAMS, cl.classical_hamiltonian(PARAMS, st))
     rec = cl.integrate(PARAMS, st, 1.0)
     # sampled on [0, t_end], solved on to 1.01 T for the closure
@@ -482,7 +495,7 @@ def test_closure_conclusive_over_the_command_grid(dim):
     # --t-end and at one shorter than a period
     params = ModelParams(dim=dim, lam=0.02)
     for seed in (0, 1, 3, 7, 42):
-        st = cl.random_state(params, np.random.default_rng(seed), dim)
+        st = cl.random_state(params, np.random.default_rng(seed))
         period = cl.closed_form_period(params, cl.classical_hamiltonian(params, st))
         for t_end in (100.0, 1.0):
             res = cl.orbit_closure(params, st, cl.integrate(params, st, t_end))
@@ -496,7 +509,7 @@ def test_exact_state_matches_dop853(dim):
     rng = np.random.default_rng(60 + dim)
     for lam, omega in DEFORMED:
         params = ModelParams(dim=dim, lam=lam, omega=omega)
-        st = cl.random_state(params, rng, dim)
+        st = cl.random_state(params, rng)
         rec = cl.integrate(params, st, 100.0, tolerance=1e-10)
         exact = cl.exact_state(params, st, rec.t)
         assert exact.shape == rec.y.shape
@@ -511,7 +524,7 @@ def test_exact_state_matches_dop853(dim):
 
 def test_exact_state_time_origin_and_unbounded():
     rng = np.random.default_rng(8)
-    st = cl.random_state(PARAMS, rng, 3)
+    st = cl.random_state(PARAMS, rng)
     shifted = cl.PhaseState(q=st.q, p=st.p, t=5.0)
     # the initial time is tau = 0; going back in time inverts t(tau) too
     assert np.array_equal(cl.exact_state(PARAMS, shifted, 5.0).as_vector(), st.as_vector())
@@ -526,7 +539,7 @@ def test_exact_state_time_origin_and_unbounded():
 
 def test_trajectory_samples_and_csv_read_the_arrays():
     rng = np.random.default_rng(9)
-    st = cl.random_state(PARAMS, rng, 3)
+    st = cl.random_state(PARAMS, rng)
     rec = cl.integrate(PARAMS, st, 10.0, n_samples=21)
     assert rec.t.shape == (21,) and rec.y.shape == (6, 21)
     samples = rec.samples

@@ -10,7 +10,7 @@ forms).  Agreement here ties the three layers together end to end.
 import numpy as np
 import pytest
 
-from darboux3.algebra import build_hamiltonian, conjugation_exponent, potential_u2, potential_v2
+from darboux3.algebra import OperatorExpr, build_hamiltonian, conjugation_exponent, potential_u2
 from darboux3.model import ModelParams, closed_form_energy
 from darboux3 import spectra as sp
 
@@ -154,8 +154,10 @@ def test_radial_flavor_data_match_the_exact_engine(nq):
     r = np.linspace(0.2, 3.0, 15)
     d = 1.0 + params.lam * r * r
     base = sp._sl_potential("schrodinger", r, params, 0)
-    for flavor, central in (("schrodinger", None), ("tlb", potential_u2(nq)),
-                            ("tpdm", potential_v2(nq))):
+    # V2, the momentum-free part of H_tpdm - H
+    v2 = build_hamiltonian("tpdm", nq) - build_hamiltonian("schrodinger", nq)
+    v2 = OperatorExpr.from_coefficient(nq, v2.terms[(0,) * nq])
+    for flavor, central in (("schrodinger", None), ("tlb", potential_u2(nq)), ("tpdm", v2)):
         got = sp._sl_potential(flavor, r, params, 0) - base
         if central is None:
             assert np.all(got == 0.0)

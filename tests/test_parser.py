@@ -9,13 +9,14 @@ goes through normal ordering.  The README's own examples run as doctests.
 """
 
 import doctest
+import time
 from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from darboux3.algebra import Coefficient, OperatorExpr, Poly, d_poly, parse
+from darboux3.algebra import Coefficient, OperatorExpr, ParseError, Poly, d_poly, parse
 
 NQ = 2
 
@@ -90,6 +91,43 @@ def test_parse_matches_operator_arithmetic(case):
     assert parse(text, NQ) == value
     printed = str(value)
     assert str(parse(printed, NQ)) == printed
+
+
+# The README's tokens at N = 2: every operator, every name (indices in range
+# and out of it), small integers, blanks, the unicode minus and a character
+# outside the grammar.
+_TOKENS = ("+", "-", "*", "/", "^", "(", ")", "i", "lambda", "omega", "hbar", "D",
+           "q1", "q2", "q3", "p1", "p2", "p0", "0", "1", "2", "7", " ", "\u2212", "@")
+_SOUP = st.builds(str.join, st.sampled_from(("", " ")), st.lists(st.sampled_from(_TOKENS), max_size=24))
+# one atom to a power up to 10^6, in each exponent spelling, with the
+# largest packed exponent and the first one past it drawn often
+_BIG_POWER = st.builds("{}^{}".format, st.sampled_from(("q1", "p2", "D", "lambda", "hbar", "i", "7")),
+                       st.builds(str.format, st.sampled_from(("{}", "-{}", "({})", "(-{})")),
+                                 st.integers(0, 10**6) | st.sampled_from((32767, 32768, 10**6))))
+# up to 300 levels of parentheses, around token soup or inside an exponent
+_NESTED = st.one_of(
+    st.builds(lambda d, e, soup: "(" * d + soup + ")" * e,
+              st.integers(0, 300), st.integers(0, 300), _SOUP),
+    st.builds(lambda d, soup: f"q1^{'(' * d}2{')' * d}{soup}", st.integers(0, 300), _SOUP),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(_SOUP, _BIG_POWER, _NESTED))
+def test_parse_is_total_on_random_text(text):
+    # parse returns or raises ParseError or OverflowError, within 1 s CPU.
+    # Large powers come one to an example: the exact product of two of them,
+    # or of one with a D-inverse, grows without bound (p1^160*D^-1 has 161
+    # terms over D^1..D^161).  Hypothesis raises the recursion limit while it
+    # runs a test, so the nesting bound itself is held by
+    # test_algebra_core.py::test_parse_nesting_bound.
+    start = time.process_time()
+    try:
+        parse(text, NQ)
+    except (ParseError, OverflowError):
+        pass
+    assert time.process_time() - start < 1, text
 
 
 # The ten shapes of the benchmark's round-trip expressions, holes filled at

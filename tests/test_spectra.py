@@ -264,6 +264,26 @@ def test_isospectrality_flat_reduces_to_ladder():
         assert np.allclose(vals, ladder, rtol=1e-8)
 
 
+def test_flavor_route_asks_each_grid_for_min_k_cells(monkeypatch):
+    # the rule of solve_bound_states: k = 30 on the ladder (25, 50, 100) used
+    # to ask the 25-cell grid for 30 levels, which SciPy refuses
+    from scipy.linalg import eigh_tridiagonal
+
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((len(args[0]), kwargs["select_range"]))
+        return eigh_tridiagonal(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "eigh_tridiagonal", recording)
+    out = sp.isospectrality_check(ModelParams(dim=3), 0, k=30, m=100)
+    assert {fl: vals.size for fl, vals in out["levels"].items()} == dict.fromkeys(sp.FLAVORS, 25)
+    assert sorted(set(calls)) == [(25, (0, 24)), (50, (0, 29)), (100, (0, 29))]
+    calls.clear()
+    sp.isospectrality_check(ModelParams(dim=3), 0, k=25, m=100)  # k <= m//4: k levels each
+    assert sorted(set(calls)) == [(25, (0, 24)), (50, (0, 24)), (100, (0, 24))]
+
+
 @pytest.mark.parametrize(
     "dim,l,lam,omega,hbar,k",
     [
