@@ -25,7 +25,6 @@ into every invariant of a verification derives each expansion once.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as _cartesian
 from math import comb, prod
 
 from .ring import MAX_EXPONENT, Coefficient, Poly, _key
@@ -261,44 +260,41 @@ def _pushed(alpha, coeff):
         table = coeff.pushed = {}
     out = table.get(alpha)
     if out is None:
-        # every derivative of a constant is zero: only the leading pair
-        constant = coeff.dpow == 0 and coeff.num.is_constant()
-        out = table[alpha] = [] if constant else list(_push_through(alpha, coeff))[1:]
+        out = table[alpha] = list(_push_through(alpha, coeff))[1:]
     return out
 
 
 def _push_through(alpha, coeff):
-    """Yield (new_alpha, coefficient) pairs for p^alpha * coeff(q).
+    """Yield (new_alpha, coefficient) pairs for p^alpha * coeff(q), the
+    leading (alpha, coeff) pair first.
 
-    Each derivative d^gamma coeff is taken once, from d^(gamma - e_i) coeff
-    with i the last axis of gamma; a zero derivative stays out of the table,
-    and so does every derivative above it.
+    The orders gamma <= alpha turn as an odometer whose last axis is the
+    fastest.  Each derivative d^gamma coeff is taken once, from
+    d^(gamma - e_i) coeff with i the last axis of gamma, and an axis stops at
+    its first zero derivative, past which every derivative along it is zero
+    too: a polynomial coefficient stops at its degree in q_i.
     """
     nq = coeff.num.nq
-    if all(k == 0 for k in alpha):
-        yield alpha, coeff
-        return
+    yield alpha, coeff
     ih = Poly.idx_hbar(nq)
-    derivs = {}
-    for gamma in _cartesian(*(range(k + 1) for k in alpha)):
-        g = sum(gamma)
-        c = coeff
-        if g:
-            i = max(j for j, gj in enumerate(gamma) if gj)
-            lower = derivs.get(gamma[:i] + (gamma[i] - 1,) + gamma[i + 1:])
-            if lower is None:
-                continue
-            c = lower.diff_q(i)
-        if c.is_zero():
+    gamma = [0] * nq
+    # derivs[i] is d^gamma coeff with gamma cut after axis i
+    derivs = [coeff] * nq
+    i = nq - 1
+    while i >= 0:
+        c = derivs[i].diff_q(i) if gamma[i] < alpha[i] else None
+        if not c:  # axis i is done: reset it and turn the one before
+            gamma[i] = 0
+            i -= 1
             continue
-        derivs[gamma] = c
-        if g:
-            binom = 1
-            for ai, gi in zip(alpha, gamma):
-                binom *= comb(ai, gi)
-            re, im = _MINUS_I_POW[g % 4]
-            c = c * Poly(nq, {_key(nq, ih, g): (re * binom, im * binom)})
-        yield tuple(a - g_ for a, g_ in zip(alpha, gamma)), c
+        gamma[i] += 1
+        derivs[i:] = [c] * (nq - i)
+        i = nq - 1
+        g = sum(gamma)
+        binom = prod(map(comb, alpha, gamma))
+        re, im = _MINUS_I_POW[g % 4]
+        c = c * Poly(nq, {_key(nq, ih, g): (re * binom, im * binom)})
+        yield tuple(a - b for a, b in zip(alpha, gamma)), c
 
 
 def symbol_gradients(ops, q, p, lam, omega):

@@ -6,22 +6,26 @@ Grammar (EBNF, also reproduced in the README):
     term    ::= unary { ("*" | "/") unary }
     unary   ::= { "+" | "-" } power
     power   ::= atom [ "^" exponent ]
-    exponent::= [ "-" ] integer | "(" [ "-" ] integer ")"
+    exponent::= [ "-" ] integer | "(" exponent ")"
     atom    ::= integer | "i" | "lambda" | "omega" | "hbar" | "D"
               | "q" index | "p" index | "(" expr ")"
 
 Indices run from 1 to N.  Division is only defined when the divisor is a
 scalar (a Gaussian-rational constant) or a power of D times a scalar; negative
-exponents are likewise restricted to such invertible atoms.  Values live on
-three levels.  Every atom but p_k is a monomial ``(key, re, im, den, e)``, i.e.
-(re + i*im)/den * m(key) * D^e with ``key`` packed as in ``ring``, so products,
-quotients and powers of atoms add keys and multiply integers.  A monomial
-becomes a ``Coefficient`` at + and - or where it meets a Coefficient or an
-``OperatorExpr``; a value becomes an OperatorExpr only when it meets a p_k
-operand, and a momentum-free result is wrapped at the end.  So the result is
-always normal-ordered, every product with a momentum on the left being
-evaluated inside the operator algebra; its coefficients are reduced when it is
-printed or compared.
+exponents are likewise restricted to such invertible atoms.
+
+``parse`` reads the token list in one loop per parenthesis level: ``_value``
+reads terms in an outer loop and their factors in an inner one, each factor
+inline as its signs, its atom and an optional exponent, and recurses only at
+"(".  Values live on three levels.  Every atom but p_k is a monomial
+``(key, re, im, den, e)``, i.e. (re + i*im)/den * m(key) * D^e with ``key``
+packed as in ``ring``, so products, quotients and powers of atoms add keys and
+multiply integers.  A monomial becomes a ``Coefficient`` at + and - or where
+it meets a Coefficient or an ``OperatorExpr``; a value becomes an OperatorExpr
+only when it meets a p_k operand, and a momentum-free result is wrapped at the
+end.  So the result is always normal-ordered, every product with a momentum
+on the left being evaluated inside the operator algebra; its coefficients are
+reduced when it is printed or compared.
 
 Parentheses nest at most ``MAX_NESTING`` levels deep, counted over atoms and
 exponents together.
@@ -30,15 +34,15 @@ exponents together.
 from __future__ import annotations
 
 import re
-from math import comb, gcd
+from math import gcd
 
-from .ring import Coefficient, Poly, _check, _d_power, _guard, _key, _reduced
+from .ring import Coefficient, Poly, _check, _d_power, _guard, _key, _reduced, divide_by_d
 from .operators import OperatorExpr
 
 
-# each level costs the descent six frames (nested, expr .. atom), so this
-# stays far below the interpreter's recursion limit; verify's residuals nest
-# at most 3 levels
+# each level around a value costs one ``_value`` frame and a level inside an
+# exponent none, so this stays far below the interpreter's recursion limit;
+# verify's residuals nest at most 3 levels
 MAX_NESTING = 100
 
 
@@ -74,147 +78,133 @@ def _tokenize(text):
     return tokens
 
 
-class _Parser:
-    def __init__(self, text, nq):
-        self.nq = nq
-        self.tokens = _tokenize(text)
-        self.k = 0
-        self.depth = 0
+def _value(toks, k, nq, depth):
+    """Read an ``expr`` from token k; return its value and the index past it.
 
-    def peek(self):
-        return self.tokens[self.k]
+    The outer loop reads terms and the inner loop their factors, each factor
+    inline: its signs, its atom and an optional ``^exponent``.  Only "("
+    recurses, one level deeper.
+    """
+    out = None
+    while True:
+        term = None
+        while True:
+            kind, val, pos = toks[k]
+            start, negative = pos, False
+            while kind == "op" and val in "+-":
+                negative ^= val == "-"
+                k += 1
+                kind, val, pos = toks[k]
+            k += 1
+            if kind == "int":
+                x = 0, val, 0, 1, 0
+            elif kind == "name":
+                x = _name(val, pos, nq)
+            elif val == "(":
+                if depth == MAX_NESTING:
+                    raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+                x, k = _value(toks, k, nq, depth + 1)
+                if toks[k][1] != ")":
+                    raise ParseError("expected ')'", toks[k][2])
+                k += 1
+            else:
+                raise ParseError("expected a value", pos)
+            kind, val, _ = toks[k]
+            if kind == "op" and val == "^":
+                n, k = _exponent(toks, k + 1, depth)
+                if n < 0:
+                    x, n = _invert(x, nq, pos), -n
+                x = _power(nq, x, n) if type(x) is tuple else x ** n
+            if negative:
+                x = _product(nq, _MINUS_ONE, x) if type(x) is tuple else -x
+            if term is None:
+                term = x
+            else:
+                term = _multiply(nq, term, x if op == "*" else _invert(x, nq, start))
+            kind, op, _ = toks[k]
+            if kind != "op" or op not in "*/":
+                break
+            k += 1
+        if out is None:
+            out = term
+        else:
+            term = _coefficient(nq, term)
+            if type(out) is not type(term):
+                out, term = _promote(nq, out), _promote(nq, term)
+            out = out + term if sign == "+" else out - term
+        kind, sign, _ = toks[k]
+        if kind != "op" or sign not in "+-":
+            return out, k
+        k += 1
+        out = _coefficient(nq, out)
 
-    def advance(self):
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
 
-    def expect_op(self, op):
-        kind, val, pos = self.advance()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
-
-    def nested(self, inner, pos):
-        """``inner()`` between the parenthesis opened at ``pos`` and its close."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
+def _exponent(toks, k, depth):
+    """Read ``exponent`` from token k, its parentheses counted on top of
+    ``depth``; return the integer and the index past it."""
+    kind, val, pos = toks[k]
+    opened = 0
+    while kind == "op" and val == "(":
+        if depth + opened == MAX_NESTING:
             raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
-        out = inner()
-        self.expect_op(")")
-        self.depth -= 1
-        return out
-
-    # expr := term { (+|-) term }
-    def expr(self):
-        out = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                out, rhs = self.coefficient(out), self.coefficient(self.term())
-                if type(out) is not type(rhs):
-                    out, rhs = self.promote(out), self.promote(rhs)
-                out = out + rhs if val == "+" else out - rhs
-            else:
-                return out
-
-    # term := unary { (*|/) unary }
-    def term(self):
-        out = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                pos = self.peek()[2]
-                rhs = self.unary()
-                out = self.multiply(out, rhs if val == "*" else _invert(rhs, self.nq, pos))
-            else:
-                return out
-
-    def coefficient(self, x):
-        """x as a Coefficient when it is a monomial, else x itself."""
-        if type(x) is not tuple:
-            return x
-        key, re, im, den, e = x
-        num = Poly(self.nq, {key: (re, im)} if re or im else {}, den)  # already reduced
-        return Coefficient(num, -e) if e <= 0 else Coefficient(num * _d_power(self.nq, e))
-
-    def promote(self, x):
-        """x as an OperatorExpr (a Coefficient becomes a multiplication operator)."""
-        x = self.coefficient(x)
-        return OperatorExpr.from_coefficient(self.nq, x) if isinstance(x, Coefficient) else x
-
-    def multiply(self, x, y):
-        if type(x) is tuple and type(y) is tuple:
-            return _product(self.nq, x, y)
-        x, y = self.coefficient(x), self.coefficient(y)
-        # a coefficient on the left scales every term; only an operator on
-        # the left needs the push-through product
-        if isinstance(x, Coefficient):
-            return x * y if isinstance(y, Coefficient) else y.scale(x)
-        return x * self.promote(y)
-
-    # unary := {+|-} power
-    def unary(self):
-        kind, val, _ = self.peek()
-        sign = 1
-        while kind == "op" and val in "+-":
-            if val == "-":
-                sign = -sign
-            self.advance()
-            kind, val, _ = self.peek()
-        out = self.power()
-        if sign < 0:
-            out = _product(self.nq, _MINUS_ONE, out) if type(out) is tuple else -out
-        return out
-
-    # power := atom [ ^ exponent ]
-    def power(self):
-        pos = self.peek()[2]
-        out = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            n = self.exponent()
-            if n < 0:
-                out, n = _invert(out, self.nq, pos), -n
-            out = _power(self.nq, out, n) if type(out) is tuple else out ** n
-        return out
-
-    def exponent(self):
-        kind, val, pos = self.advance()
-        if kind == "op" and val == "(":
-            return self.nested(self.exponent, pos)
-        if kind == "op" and val == "-":
-            kind2, val2, pos2 = self.advance()
-            if kind2 != "int":
-                raise ParseError("expected integer exponent", pos2)
-            return -val2
-        if kind == "int":
-            return val
+        opened += 1
+        k += 1
+        kind, val, pos = toks[k]
+    sign = 1
+    if kind == "op" and val == "-":
+        sign = -1
+        k += 1
+        kind, val, pos = toks[k]
+    if kind != "int":
         raise ParseError("expected integer exponent", pos)
+    k += 1
+    for _ in range(opened):
+        if toks[k][1] != ")":
+            raise ParseError("expected ')'", toks[k][2])
+        k += 1
+    return sign * val, k
 
-    def atom(self):
-        kind, val, pos = self.advance()
-        nq = self.nq
-        if kind == "int":
-            return 0, val, 0, 1, 0
-        if kind == "name":
-            if val == "i":
-                return 0, 0, 1, 1, 0
-            if val in _SYMBOLS:
-                return _key(nq, _SYMBOLS[val](nq), 1), 1, 0, 1, 0
-            if val == "D":
-                return 0, 1, 0, 1, 1
-            idx = int(val[1:]) - 1
-            if not 0 <= idx < nq:
-                raise ParseError(f"index of {val!r} out of range for N={nq}", pos)
-            if val[0] == "q":
-                return _key(nq, idx, 1), 1, 0, 1, 0
-            return OperatorExpr.momentum(nq, idx)
-        if kind == "op" and val == "(":
-            return self.nested(self.expr, pos)
-        raise ParseError("expected a value", pos)
+
+def _name(val, pos, nq):
+    """The atom named ``val`` at ``pos``: a monomial, or the operator p_k."""
+    if val == "i":
+        return 0, 0, 1, 1, 0
+    if val in _SYMBOLS:
+        return _key(nq, _SYMBOLS[val](nq), 1), 1, 0, 1, 0
+    if val == "D":
+        return 0, 1, 0, 1, 1
+    idx = int(val[1:]) - 1
+    if not 0 <= idx < nq:
+        raise ParseError(f"index of {val!r} out of range for N={nq}", pos)
+    if val[0] == "q":
+        return _key(nq, idx, 1), 1, 0, 1, 0
+    return OperatorExpr.momentum(nq, idx)
+
+
+def _coefficient(nq, x):
+    """x as a Coefficient when it is a monomial, else x itself."""
+    if type(x) is not tuple:
+        return x
+    key, re, im, den, e = x
+    num = Poly(nq, {key: (re, im)} if re or im else {}, den)  # already reduced
+    return Coefficient(num, -e) if e <= 0 else Coefficient(num * _d_power(nq, e))
+
+
+def _promote(nq, x):
+    """x as an OperatorExpr (a Coefficient becomes a multiplication operator)."""
+    x = _coefficient(nq, x)
+    return OperatorExpr.from_coefficient(nq, x) if isinstance(x, Coefficient) else x
+
+
+def _multiply(nq, x, y):
+    if type(x) is tuple and type(y) is tuple:
+        return _product(nq, x, y)
+    x, y = _coefficient(nq, x), _coefficient(nq, y)
+    # a coefficient on the left scales every term; only an operator on
+    # the left needs the push-through product
+    if isinstance(x, Coefficient):
+        return x * y if isinstance(y, Coefficient) else y.scale(x)
+    return x * _promote(nq, y)
 
 
 _SYMBOLS = {"lambda": Poly.idx_lambda, "omega": Poly.idx_omega, "hbar": Poly.idx_hbar}
@@ -266,19 +256,14 @@ def _invert(x, nq, pos):
         if x.terms.keys() - {zero_alpha}:
             raise ParseError("division only by scalars and powers of D", pos)
         x = x.terms.get(zero_alpha, Coefficient.zero(nq))
+    # s * D^k for a constant s: D is irreducible, so dividing D out until a
+    # constant is left finds k, and a quotient that fails proves x is no such
     num, extra = x.num, 0
-    if not num.is_constant():
-        # s * D^k has lambda-degree k, constant term s and all comb(k + nq, nq)
-        # monomials of D^k; every Poly is in normal form, so it equals
-        # s * _d_power(nq, k) field by field, and nothing else divides out
-        k = num.degree_in(Poly.idx_lambda(nq))
-        s = num.terms.get(0)
-        if s is not None and len(num.terms) == comb(k + nq, nq):
-            s = _reduced(nq, {0: s}, num.den)
-            if num == s * _d_power(nq, k):
-                num, extra = s, k
-        if not num.is_constant():
+    while not num.is_constant():
+        num = divide_by_d(num)
+        if num is None:
             raise ParseError("division only by scalars and powers of D", pos)
+        extra += 1
     if not num:
         raise ParseError("division by zero", pos)
     # x = s * D^extra / D^dpow  =>  1/x = (1/s) * D^dpow / D^extra, where
@@ -297,9 +282,9 @@ def parse(text, nq):
     offending position on bad syntax or an illegal division, and
     OverflowError past ``ring.MAX_EXPONENT`` or ``ring.MAX_D_POWER``.
     """
-    p = _Parser(text, nq)
-    out = p.expr()
-    kind, _, pos = p.peek()
+    toks = _tokenize(text)
+    out, k = _value(toks, 0, nq, 0)
+    kind, _, pos = toks[k]
     if kind != "end":
         raise ParseError("trailing input", pos)
-    return p.promote(out)
+    return _promote(nq, out)

@@ -293,11 +293,13 @@ def test_parse_division_by_d_powers_and_scalars():
     # a divisor that carries its own D-power
     assert parse("q1/D^-1", 2) == parse("q1*D", 2)
     assert parse("q1/(2*D^-1*D^-1)", 2) == parse("q1*D^2/2", 2)
-    # sums are recognized as s*D^k by comparing them with D-powers
+    # sums are recognized as s*D^k by dividing D out until a constant is left
     d_inverse = parse("D^-1", 2)
     assert parse("1/(D + 0)", 2) == d_inverse
     assert parse("1/(1 + lambda*q1^2 + lambda*q2^2)", 2) == d_inverse
     assert parse("q1/(2*D*D + 0)", 2) == parse("q1*D^-2/2", 2)
+    # past ring.MAX_D_POWER too: the quotient stays over D^13, as D^-1000 does
+    assert str(parse("q1/(1 + lambda*q1^2 + lambda*q2^2)^13", 2)) == "(q1)/D^13"
 
 
 @pytest.mark.parametrize("text, pos", [("1/0", 2), ("1/(2-2)", 2), ("0^-1", 0), ("q1/(p1-p1)", 3),
@@ -315,10 +317,17 @@ def test_tokens_and_error_positions():
                                ("q1^-1", 0, "division only by scalars and powers of D"),
                                ("q1^lambda", 3, "expected integer exponent"),
                                ("q1^-q2", 4, "expected integer exponent"),
-                               ("q1 p1", 3, "trailing input")):
+                               ("q1 p1", 3, "trailing input"),
+                               ("q1*(p1 q2)", 7, "expected ')'"),
+                               ("q1^((2)", 7, "expected ')'"),
+                               ("q1*)", 3, "expected a value"),
+                               ("2*q3", 2, "index of 'q3' out of range for N=2"),
+                               # a signed divisor starts at its sign, a power at its atom
+                               ("1/-0", 2, "division by zero"),
+                               ("-q1^-1", 1, "division only by scalars and powers of D")):
         with pytest.raises(ParseError) as exc:
             parse(text, 2)
-        assert str(exc.value) == f"{message} (at position {pos})"
+        assert str(exc.value) == f"{message} (at position {pos})" and exc.value.pos == pos
 
 
 def test_packed_exponent_bound():
@@ -391,6 +400,12 @@ def test_momentum_power_bound():
     start = time.process_time()
     assert str(parse("p1^2000", 2)) == "(1)*p1^2000"
     assert time.process_time() - start < 1
+    # a polynomial coefficient is differentiated only up to its degree in
+    # each q_i, not over the whole box of orders below p1^1000*p2^1000
+    start = time.process_time()
+    x = parse("p1^1000*p2^1000*q1", 2)
+    assert time.process_time() - start < 1
+    assert str(x) == "(q1)*p1^1000*p2^1000 + (-1000*i*hbar)*p1^999*p2^1000"
     top = ring.MAX_EXPONENT
     for text, degree in (("p1^40000", 40000), ("(p1^300)^300", 90000),
                          (f"(p1*p2)^{top // 2 + 1}", top + 1), (f"(q1 + p2)^{top + 1}", top + 1)):
