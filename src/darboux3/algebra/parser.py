@@ -28,12 +28,15 @@ on the left being evaluated inside the operator algebra; its coefficients are
 reduced when it is printed or compared.
 
 Parentheses nest at most ``MAX_NESTING`` levels deep, counted over atoms and
-exponents together.
+exponents together.  A scalar, read or computed, whose integers Python cannot
+print (``sys.get_int_max_str_digits``) raises OverflowError, so every result
+prints.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from math import gcd
 
 from .ring import Coefficient, Poly, _check, _d_power, _guard, _key, _reduced, divide_by_d
@@ -69,7 +72,11 @@ def _tokenize(text):
         if kind == "op" or kind == "name":
             append((kind, m[0], m.start()))
         elif kind == "int":
-            append((kind, int(m[0]), m.start()))
+            try:
+                append((kind, int(m[0]), m.start()))
+            except ValueError:  # more digits than Python converts
+                raise OverflowError(f"integer at position {m.start()} has more than "
+                                    f"{_max_digits()} digits") from None
         elif kind == "minus":  # unicode minus
             append(("op", "-", m.start()))
         elif kind == "bad":
@@ -275,16 +282,41 @@ def _invert(x, nq, pos):
     return Coefficient(inverse, extra)
 
 
+def _max_digits():
+    """The most digits Python prints of an integer; 0 means no limit."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def _printable(x):
+    """x, or OverflowError when ``str(x)`` would pass Python's limit on the
+    digits of a printed integer.  x is printed to find out only when a stored
+    integer has more bits than the limit allows digits (30% of them): the
+    printed integers are the stored ones reduced, or those of a numerator
+    with D divided out, which would have to gain the other 70%."""
+    limit = _max_digits()
+    if limit:
+        top = 0
+        for c in x.terms.values():
+            top = max(top, c.num.den, *(abs(v) for ab in c.num.terms.values() for v in ab))
+        if top.bit_length() > limit:
+            try:
+                str(x)
+            except ValueError:
+                raise OverflowError(f"a scalar of the result has more than {limit} digits") from None
+    return x
+
+
 def parse(text, nq):
     """Parse an operator expression string for dimension ``nq``.
 
     Returns the normal-ordered OperatorExpr; raises ParseError with the
     offending position on bad syntax or an illegal division, and
-    OverflowError past ``ring.MAX_EXPONENT`` or ``ring.MAX_D_POWER``.
+    OverflowError past ``ring.MAX_EXPONENT`` or ``ring.MAX_D_POWER``, or for
+    a scalar with more digits than Python prints.
     """
     toks = _tokenize(text)
     out, k = _value(toks, 0, nq, 0)
     kind, _, pos = toks[k]
     if kind != "end":
         raise ParseError("trailing input", pos)
-    return _promote(nq, out)
+    return _printable(_promote(nq, out))

@@ -3,15 +3,18 @@
 Every check reduces an operator identity to normal-ordered form and asks for
 the exact zero operator; no numeric evaluation is involved.  A
 nonzero residual is kept (pretty-printed) so a failing run shows what is left.
-The tlb and tpdm suites are computed in the Schrödinger frame and carried
-over by the similarity H_X = D^a H D^(-a), which each run proves exactly for
-the operators it reads (see ``verify_theorem``).
+Every flavor's suite is computed in the Schrödinger frame and carried over
+by the similarity H_X = D^a H D^(-a), which each run proves exactly for the
+operators it reads.  The frame is built once per N and process: its
+operators, their D^a conjugates, the commutators among them and the sl(2)
+relations (see ``verify_theorem``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .operators import OperatorExpr, weighted_adjoint
@@ -95,8 +98,14 @@ def _residual_check(name_lhs, name_rhs, residual):
 
 
 def _commutator_check(name_a, a, name_b, b, expo=0):
-    """[a, b] carried to the frame D^expo, as a check that it is zero."""
-    res = a.commutator(b).conjugate_by_d_power(expo)
+    """[a, b] carried to the frame D^expo, as a check that it is zero.  Each
+    operand is an operator or a frame key (``_op``); two keys read the
+    frame's commutator."""
+    if type(a) is tuple and type(b) is tuple:
+        res = _frame_commutator(a, b)
+    else:
+        res = _op(a).commutator(_op(b))
+    res = res.conjugate_by_d_power(expo)
     if res.momentum_degree() > MAX_COMMUTATOR_MOMENTUM_DEGREE or res.max_d_power() > MAX_COMMUTATOR_D_POWER:
         raise AssertionError(
             f"commutator [{name_a}, {name_b}] exceeded degree bounds: "
@@ -105,10 +114,55 @@ def _commutator_check(name_a, a, name_b, b, expo=0):
     return _residual_check(f"[{name_a}, {name_b}]", "0", res)
 
 
-def _preimage(x, s, gap, expo):
-    """The Schrödinger-frame operator whose D^expo conjugate is x: s when
-    ``gap`` = x - D^expo s D^(-expo) is zero, else x conjugated back."""
-    return s if gap.is_zero() else x.conjugate_by_d_power(-expo)
+@cache
+def _frame(nq):
+    """The Schrödinger frame at N = nq, built once per process: H as 'H', the
+    C ladders by their names and the Fradkin entries by (i, j), i <= j."""
+    fradkin = build_fradkin("schrodinger", nq)
+    ops = {"H": build_hamiltonian("schrodinger", nq), **build_angular_invariants(nq)}
+    ops.update({(i, j): fradkin[i][j] for i in range(nq) for j in range(i, nq)})
+    return ops
+
+
+def _op(x):
+    """x itself, or the frame operator of the key x = (nq, name)."""
+    return _frame(x[0])[x[1]] if type(x) is tuple else x
+
+
+@cache
+def _frame_commutator(a, b):
+    """[a, b] of two frame keys, computed once per process."""
+    return _op(a).commutator(_op(b))
+
+
+@cache
+def _frame_conjugate(nq, a, name):
+    """D^a X D^(-a) of the frame operator X named ``name``."""
+    return _frame(nq)[name].conjugate_by_d_power(a)
+
+
+@cache
+def _fixes_ladders(nq, a):
+    """Whether D^a fixes every L_ij, and so every C ladder (a sum of L_ij^2)."""
+    lij = [angular_momentum_component(nq, i, j) for i, j in combinations(range(nq), 2)]
+    return all(l.conjugate_by_d_power(a) == l for l in lij)
+
+
+@cache
+def _sl2_relations(nq):
+    """(lhs, rhs, residual) of the three sl(2,R) relations at N = nq."""
+    jp, jm, j3 = sl2_generators(nq)
+    ih = OperatorExpr.symbol(nq, "hbar").scale(Coefficient(Poly.constant(nq, 0, 1)))
+    return (("[J3, J+]", "2i*hbar*J+", j3.commutator(jp) - (ih * jp) * 2),
+            ("[J3, J-]", "-2i*hbar*J-", j3.commutator(jm) + (ih * jm) * 2),
+            ("[J-, J+]", "4i*hbar*J3", jm.commutator(jp) - (ih * j3) * 4))
+
+
+def _preimage(x, key, gap, expo):
+    """The Schrödinger-frame preimage of x, whose D^expo conjugate is x: the
+    frame key ``key`` when ``gap`` = x - D^expo X D^(-expo) is zero, X being
+    the frame's operator, else x conjugated back."""
+    return key if gap.is_zero() else x.conjugate_by_d_power(-expo)
 
 
 def verify_theorem(flavor, nq, parts=ALL_PARTS, fradkin=None):
@@ -122,18 +176,22 @@ def verify_theorem(flavor, nq, parts=ALL_PARTS, fradkin=None):
       'conjugation'  Fradkin entries match the D-power conjugates of the
                      direct-quantization tensor
 
-    tlb and tpdm are checked in the Schrödinger frame.  Conjugation by D^a
+    Every flavor is checked in the Schrödinger frame.  Conjugation by D^a
     (a = conjugation_exponent) is an algebra automorphism, so
-    [H_X, I_X] = D^a [H, I] D^(-a): each check is computed once on the
-    preimages of the operators it reads and its residual is conjugated back
-    by D^a, which gives the operator, text and degree bounds of the flavor's
-    own commutator.  The preimages are proven here, exactly: H and the
-    schrodinger Fradkin entries wherever their D^a conjugates equal H_X and
-    the given entries (the differences are the conjugation part's
-    residuals), else the flavor's operator conjugated by D^(-a), as for a
-    corrupted entry; the C ladders are their own preimages once every L_ij
-    is fixed by D^a.  At a = 0 (schrodinger, and tlb at N = 2) every
-    operator is its own preimage and nothing is conjugated.
+    [H_X, I_X] = D^a [H, I] D^(-a): each check is computed on the preimages
+    of the operators it reads and its residual is conjugated back by D^a,
+    which gives the operator, text and degree bounds of the flavor's own
+    commutator.  The frame (H, the C ladders and the schrodinger Fradkin
+    entries) is built once per N and process, and so are its D^a
+    conjugates, the commutators among its operators and the sl(2)
+    relations.  Each call builds the flavor's closed-form H and proves its
+    preimages anew: H_X and every entry read, less the frame's D^a
+    conjugate, must be exactly zero (the entries' differences are the
+    conjugation part's residuals).  A check reads the frame only when all
+    its operands are so proven; any other operand, such as a corrupted
+    entry, is the flavor's operator conjugated by D^(-a), and its check is
+    computed directly.  The C ladders are their own preimages once every
+    L_ij is fixed by D^a.
 
     A prebuilt (possibly corrupted) ``fradkin`` tensor may be injected for
     mutation testing.  Functional independence (part iii of the statements)
@@ -149,62 +207,43 @@ def verify_theorem(flavor, nq, parts=ALL_PARTS, fradkin=None):
         raise ValueError(f"unknown theorem parts {sorted(unknown)}")
     report = VerifyReport(flavor=flavor, dim=nq)
     hname = f"H_{flavor}"
-    angular = build_angular_invariants(nq)
     if fradkin is None:
         fradkin = build_fradkin(flavor, nq)
     read = [(i, j) for i in range(nq) for j in range(i, nq)
             if any(PART_READS_ENTRY[p](i, j) for p in parts)]
-    h = build_hamiltonian(flavor, nq) if "i" in parts else None
-    entry = {(i, j): fradkin[i][j] for i, j in read}
-    ladder = angular
-    # each entry read less the D^a conjugate of the schrodinger entry: the
+    # each entry read less the D^a conjugate of the frame's entry: the
     # conjugation part's residual, and the proof of the entry's preimage
-    gap = {}
-    if read and (expo or "conjugation" in parts):
-        base = build_fradkin("schrodinger", nq)
-        gap = {(i, j): fradkin[i][j] - base[i][j].conjugate_by_d_power(expo) for i, j in read}
-    if expo:  # every operator read becomes its Schrödinger-frame preimage
-        entry = {(i, j): _preimage(entry[i, j], base[i][j], gap[i, j], expo) for i, j in read}
-        if h is not None:
-            s = build_hamiltonian("schrodinger", nq)
-            h = _preimage(h, s, h - s.conjugate_by_d_power(expo), expo)
-            # the ladders are sums of L_ij^2: fixed by D^a when every L_ij is
-            lij = [angular_momentum_component(nq, i, j) for i, j in combinations(range(nq), 2)]
-            if not all(l.conjugate_by_d_power(expo) == l for l in lij):
-                ladder = {name: c.conjugate_by_d_power(-expo) for name, c in angular.items()}
+    gap = {(i, j): fradkin[i][j] - _frame_conjugate(nq, expo, (i, j)) for i, j in read}
+    entry = {(i, j): _preimage(fradkin[i][j], (nq, (i, j)), gap[i, j], expo) for i, j in read}
 
     if "i" in parts:
-        for name, c in ladder.items():
-            report.checks.append(_commutator_check(hname, h, name, c, expo))
+        h = build_hamiltonian(flavor, nq)
+        h = _preimage(h, (nq, "H"), h - _frame_conjugate(nq, expo, "H"), expo)
+        fixed = _fixes_ladders(nq, expo)
+        for m in range(2, nq + 1):
+            for name in (f"C^({m})", f"C_({m})"):
+                c = (nq, name) if fixed else _frame(nq)[name].conjugate_by_d_power(-expo)
+                report.checks.append(_commutator_check(hname, h, name, c, expo))
         for i, j in read:
             report.checks.append(
                 _commutator_check(hname, h, f"I_{i+1}{j+1}", entry[i, j], expo)
             )
-        trace = sum((entry[i, i] for i in range(nq)), OperatorExpr.zero(nq))
-        residual = (h + h - trace).conjugate_by_d_power(expo)
+        trace = sum((_op(entry[i, i]) for i in range(nq)), OperatorExpr.zero(nq))
+        residual = (_op(h) + _op(h) - trace).conjugate_by_d_power(expo)
         report.checks.append(_residual_check(hname, "(1/2) sum_i I_ii", residual))
 
     if "ii" in parts:
         for prefix in ("C^", "C_"):
             names = [f"{prefix}({m})" for m in range(2, nq + 1)]
             for a, b in combinations(names, 2):
-                report.checks.append(_commutator_check(a, angular[a], b, angular[b]))
+                report.checks.append(_commutator_check(a, (nq, a), b, (nq, b)))
         for i, j in combinations(range(nq), 2):
             report.checks.append(_commutator_check(
                 f"I_{i+1}{i+1}", entry[i, i], f"I_{j+1}{j+1}", entry[j, j], expo))
 
     if "sl2" in parts:
-        jp, jm, j3 = sl2_generators(nq)
-        ih = OperatorExpr.symbol(nq, "hbar").scale(Coefficient(Poly.constant(nq, 0, 1)))
-        report.checks.append(
-            _residual_check("[J3, J+]", "2i*hbar*J+", j3.commutator(jp) - (ih * jp) * 2)
-        )
-        report.checks.append(
-            _residual_check("[J3, J-]", "-2i*hbar*J-", j3.commutator(jm) + (ih * jm) * 2)
-        )
-        report.checks.append(
-            _residual_check("[J-, J+]", "4i*hbar*J3", jm.commutator(jp) - (ih * j3) * 4)
-        )
+        for lhs, rhs, residual in _sl2_relations(nq):
+            report.checks.append(_residual_check(lhs, rhs, residual))
 
     if "conjugation" in parts:
         for i, j in read:
@@ -229,7 +268,8 @@ def similarity_checks(nq):
     the self-adjointness of each Hamiltonian in its own weighted product
     (weight D^(1-2a): D, D^(N/2) and 1).
     """
-    hs = {f: build_hamiltonian(f, nq) for f in FLAVORS}
+    hs = {f: build_hamiltonian(f, nq) for f in FLAVORS[1:]}
+    hs["schrodinger"] = _frame(nq)["H"]
     a = {f: conjugation_exponent(f, nq) for f in FLAVORS}
     # H_to = D^b H_from D^(-b) with b = a_to - a_from
     checks = [

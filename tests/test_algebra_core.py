@@ -510,11 +510,13 @@ def test_products_with_warm_tables_match_cold_copies():
         assert [_stored(w) for w in warm] == [_stored(c) for c in cold]
 
 
-def test_push_through_tables_match_fresh_expansions(monkeypatch):
+def test_push_through_tables_match_fresh_expansions(monkeypatch, clear_frame):
     # verify_theorem("tlb", 3) pushes the Schrödinger-frame Hamiltonian, the
     # preimage of H_tlb, through every invariant; afterwards its coefficients
     # are as built and every table entry is the expansion _push_through
-    # derives anew, less the leading (alpha, c) pair
+    # derives anew, less the leading (alpha, c) pair.  The frame is built
+    # once per process, so a cold frame builds that H once and a warm one
+    # not again
     built, original = [], verify.build_hamiltonian
 
     def record(flavor, nq):
@@ -526,6 +528,9 @@ def test_push_through_tables_match_fresh_expansions(monkeypatch):
     monkeypatch.setattr(verify, "build_hamiltonian", record)
     verify_theorem("tlb", 3)
     h, = built
+    assert h is verify._frame(3)["H"]
+    verify_theorem("tlb", 3)
+    assert built == [h]
     assert _stored(h) == _stored(original("schrodinger", 3))
     entries = 0
     for c in h.terms.values():

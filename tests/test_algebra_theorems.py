@@ -286,6 +286,38 @@ def test_verify_theorem_matches_direct_commutators(flavor, nq):
         assert expected["all_zero"]
 
 
+PART_SUBSETS = [parts for k in range(1, len(verify.ALL_PARTS) + 1)
+                for parts in combinations(verify.ALL_PARTS, k)]
+
+
+@pytest.mark.parametrize("nq", [2, 3, 4])
+def test_frame_gives_the_same_reports_cold_and_warm(nq, clear_frame, monkeypatch):
+    # the Schrödinger frame is built once per N and process: every report is
+    # the same with the frame cold and warm after the other two flavors, and
+    # a warm report takes every commutator from the frame
+    cold = {}
+    for flavor in FLAVORS:
+        for parts in PART_SUBSETS:
+            clear_frame()
+            cold[flavor, parts] = verify_theorem(flavor, nq, parts=parts).to_json()
+    commutator, computed = OperatorExpr.commutator, []
+
+    def counted(a, b):
+        computed.append(1)
+        return commutator(a, b)
+
+    for flavor in FLAVORS:
+        clear_frame()
+        for other in FLAVORS:
+            if other != flavor:
+                verify_theorem(other, nq)
+        monkeypatch.setattr(OperatorExpr, "commutator", counted)
+        for parts in PART_SUBSETS:
+            assert verify_theorem(flavor, nq, parts=parts).to_json() == cold[flavor, parts]
+        monkeypatch.setattr(OperatorExpr, "commutator", commutator)
+    assert not computed
+
+
 def test_mutated_tlb_tensor_matches_direct_commutators():
     # -4a(1+a) -> -4a(1-a) in the hbar^2*lambda^2*q_i*q_j/D^2 term of every
     # tlb entry at N = 3: no entry is the conjugate of the schrodinger one,

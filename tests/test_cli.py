@@ -59,17 +59,31 @@ GOLDEN_RESIDUALS = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text())["residuals"]
 
 
+def _assert_golden_residuals(capsys, key):
+    flavor, dim, label = key.split("/")
+    code, out = run_cli(capsys, "verify", "--dim", dim, "--flavor", flavor,
+                        "--corrupt", label, "--no-timestamp")
+    assert code == 1, key
+    nonzero = [{"lhs": c["lhs"], "rhs": c["rhs"], "residual": c["residual"]}
+               for c in json.loads(out)["checks"] if not c["commutator_zero"]]
+    assert nonzero == GOLDEN_RESIDUALS[key], key
+
+
 @pytest.mark.parametrize("key", sorted(GOLDEN_RESIDUALS))
 def test_corrupt_residuals_match_golden_text(capsys, key):
     # each mutation control fails with exactly the recorded residuals, so a
     # change to normal ordering or printing cannot go unseen
-    flavor, dim, label = key.split("/")
-    code, out = run_cli(capsys, "verify", "--dim", dim, "--flavor", flavor,
-                        "--corrupt", label, "--no-timestamp")
-    assert code == 1
-    nonzero = [{"lhs": c["lhs"], "rhs": c["rhs"], "residual": c["residual"]}
-               for c in json.loads(out)["checks"] if not c["commutator_zero"]]
-    assert nonzero == GOLDEN_RESIDUALS[key]
+    _assert_golden_residuals(capsys, key)
+
+
+def test_corrupt_residuals_match_golden_text_after_clean_runs(capsys, clear_frame):
+    # a mutation control run after clean runs of its N, with the Schrödinger
+    # frame warm, must still compute its corrupted entry and fail as recorded
+    for dim in sorted({key.split("/")[1] for key in GOLDEN_RESIDUALS}):
+        for flavor in ("schrodinger", "tlb", "tpdm"):
+            assert run_cli(capsys, "verify", "--dim", dim, "--flavor", flavor, "--no-timestamp")[0] == 0
+        for key in sorted(k for k in GOLDEN_RESIDUALS if k.split("/")[1] == dim):
+            _assert_golden_residuals(capsys, key)
 
 
 BAD_FLAGS = (

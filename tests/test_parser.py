@@ -15,6 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
 
+import pytest
+
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -130,8 +132,13 @@ _NESTED = st.one_of(
 @settings(max_examples=300, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(_SOUP, _BIG_POWER, _NESTED))
+@example("1" * 5000)
+@example("7^6000")
+@example("(7^3000*q1+1)^2")
 def test_parse_is_total_on_random_text(text):
-    # parse returns or raises ParseError or OverflowError, within 1 s CPU.
+    # parse returns a value that prints, or raises ParseError or
+    # OverflowError, within 1 s CPU; a scalar with more digits than Python
+    # prints is refused, whether it is read or computed.
     # Large powers come one to an example: the exact product of two of them,
     # or of one with a D-inverse, grows without bound (p1^160*D^-1 has 161
     # terms over D^1..D^161).  Hypothesis raises the recursion limit while it
@@ -139,10 +146,22 @@ def test_parse_is_total_on_random_text(text):
     # test_algebra_core.py::test_parse_nesting_bound.
     start = time.process_time()
     try:
-        parse(text, NQ)
+        str(parse(text, NQ))
     except (ParseError, OverflowError):
         pass
     assert time.process_time() - start < 1, text
+
+
+def test_huge_scalars_round_trip_or_are_refused():
+    # 7^5000 has 4,226 digits, under Python's limit of 4,300 on printed
+    # integers; 7^6000 and a 5,000-digit literal are over it
+    printed = str(parse("7^5000*q1", NQ))
+    assert len(printed) == 4231 and str(parse(printed, NQ)) == printed
+    with pytest.raises(OverflowError, match="integer at position 3 has more than 4300 digits"):
+        parse("q1*" + "1" * 5000, NQ)
+    for text in ("7^6000", "(7^3000*q1+1)^2", "7^3000*q1*7^3000"):
+        with pytest.raises(OverflowError, match="a scalar of the result has more than 4300 digits"):
+            parse(text, NQ)
 
 
 # The ten shapes of the benchmark's round-trip expressions, holes filled at
