@@ -11,6 +11,7 @@ from .builders import (
     conjugation_exponent,
     curvature_coefficient,
     potential_u2,
+    schrodinger_family,
     sl2_generators,
 )
 from .verify import (
@@ -40,6 +41,7 @@ __all__ = [
     "parse",
     "potential_u2",
     "q_squared",
+    "schrodinger_family",
     "similarity_checks",
     "sl2_generators",
     "symbol_gradients",

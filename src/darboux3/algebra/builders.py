@@ -10,6 +10,7 @@ closed form.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .ring import Coefficient, Poly, q_squared
@@ -151,6 +152,20 @@ def build_fradkin(flavor, nq):
                     entry._put((0,) * nq, Coefficient(hb2 * lam * (2 * a), 1))
             tensor[i][j] = tensor[j][i] = entry
     return tensor
+
+
+def fradkin_entries(tensor):
+    """The entries of a Fradkin tensor on and above its diagonal, keyed 'I_ij'."""
+    return {f"I_{i+1}{j+1}": row[j] for i, row in enumerate(tensor) for j in range(i, len(row))}
+
+
+@cache
+def schrodinger_family(nq):
+    """H, the C ladders and the Fradkin entries of the direct quantization,
+    keyed like classical.invariant_names (plus C_(N)): built once per N and
+    process, shared by verify and classical, and never to be mutated."""
+    return {"H": build_hamiltonian("schrodinger", nq), **build_angular_invariants(nq),
+            **fradkin_entries(build_fradkin("schrodinger", nq))}
 
 
 def sl2_generators(nq):

@@ -1,13 +1,12 @@
 """Symbolic verification suites: commutator checks, similarity identities.
 
 Every check reduces an operator identity to normal-ordered form and asks for
-the exact zero operator; no numeric evaluation is involved.  A
-nonzero residual is kept (pretty-printed) so a failing run shows what is left.
-Every flavor's suite is computed in the Schrödinger frame and carried over
-by the similarity H_X = D^a H D^(-a), which each run proves exactly for the
-operators it reads.  The frame is built once per N and process: its
-operators, their D^a conjugates, the commutators among them and the sl(2)
-relations (see ``verify_theorem``).
+the exact zero operator; no numeric evaluation is involved.  A nonzero
+residual is kept (pretty-printed) so a failing run shows what is left.  A
+part is a list of checks over the names of the Schrödinger invariant family
+(builders.schrodinger_family), and every flavor's checks are computed on
+that family and carried over by the similarity H_X = D^a H D^(-a), which
+each run proves exactly for the operators it reads (see ``verify_theorem``).
 """
 
 from __future__ import annotations
@@ -21,12 +20,13 @@ from .operators import OperatorExpr, weighted_adjoint
 from .builders import (
     FLAVORS,
     angular_momentum_component,
-    build_angular_invariants,
     build_fradkin,
     build_hamiltonian,
     conjugation_exponent,
     curvature_coefficient,
+    fradkin_entries,
     potential_u2,
+    schrodinger_family,
     sl2_generators,
 )
 from .ring import Coefficient, Poly
@@ -37,9 +37,6 @@ MAX_COMMUTATOR_MOMENTUM_DEGREE = 4
 MAX_COMMUTATOR_D_POWER = 6
 
 ALL_PARTS = ("i", "ii", "sl2", "conjugation")
-# whether a part reads Fradkin entry (i, j)
-PART_READS_ENTRY = {"i": lambda i, j: True, "ii": lambda i, j: i == j,
-                    "sl2": lambda i, j: False, "conjugation": lambda i, j: True}
 
 
 @dataclass
@@ -114,19 +111,9 @@ def _commutator_check(name_a, a, name_b, b, expo=0):
     return _residual_check(f"[{name_a}, {name_b}]", "0", res)
 
 
-@cache
-def _frame(nq):
-    """The Schrödinger frame at N = nq, built once per process: H as 'H', the
-    C ladders by their names and the Fradkin entries by (i, j), i <= j."""
-    fradkin = build_fradkin("schrodinger", nq)
-    ops = {"H": build_hamiltonian("schrodinger", nq), **build_angular_invariants(nq)}
-    ops.update({(i, j): fradkin[i][j] for i in range(nq) for j in range(i, nq)})
-    return ops
-
-
 def _op(x):
-    """x itself, or the frame operator of the key x = (nq, name)."""
-    return _frame(x[0])[x[1]] if type(x) is tuple else x
+    """x itself, or the family operator of the key x = (nq, name)."""
+    return schrodinger_family(x[0])[x[1]] if type(x) is tuple else x
 
 
 @cache
@@ -137,8 +124,8 @@ def _frame_commutator(a, b):
 
 @cache
 def _frame_conjugate(nq, a, name):
-    """D^a X D^(-a) of the frame operator X named ``name``."""
-    return _frame(nq)[name].conjugate_by_d_power(a)
+    """D^a X D^(-a) of the family operator X named ``name``."""
+    return schrodinger_family(nq)[name].conjugate_by_d_power(a)
 
 
 @cache
@@ -150,19 +137,47 @@ def _fixes_ladders(nq, a):
 
 @cache
 def _sl2_relations(nq):
-    """(lhs, rhs, residual) of the three sl(2,R) relations at N = nq."""
+    """(lhs, rhs, residual) of the sl(2,R) relations at N = nq by their rhs generator."""
     jp, jm, j3 = sl2_generators(nq)
     ih = OperatorExpr.symbol(nq, "hbar").scale(Coefficient(Poly.constant(nq, 0, 1)))
-    return (("[J3, J+]", "2i*hbar*J+", j3.commutator(jp) - (ih * jp) * 2),
-            ("[J3, J-]", "-2i*hbar*J-", j3.commutator(jm) + (ih * jm) * 2),
-            ("[J-, J+]", "4i*hbar*J3", jm.commutator(jp) - (ih * j3) * 4))
+    return {"J+": ("[J3, J+]", "2i*hbar*J+", j3.commutator(jp) - (ih * jp) * 2),
+            "J-": ("[J3, J-]", "-2i*hbar*J-", j3.commutator(jm) + (ih * jm) * 2),
+            "J3": ("[J-, J+]", "4i*hbar*J3", jm.commutator(jp) - (ih * j3) * 4)}
 
 
-def _preimage(x, key, gap, expo):
-    """The Schrödinger-frame preimage of x, whose D^expo conjugate is x: the
-    frame key ``key`` when ``gap`` = x - D^expo X D^(-expo) is zero, X being
-    the frame's operator, else x conjugated back."""
-    return key if gap.is_zero() else x.conjugate_by_d_power(-expo)
+def _preimage(x, nq, name, expo):
+    """(preimage, gap) of the flavor's operator x named ``name``: the gap is
+    x less the D^expo conjugate of the family's operator, and the preimage,
+    whose D^expo conjugate is x, is the family key when the gap is zero,
+    else x conjugated back."""
+    gap = x - _frame_conjugate(nq, expo, name)
+    return ((nq, name) if gap.is_zero() else x.conjugate_by_d_power(-expo)), gap
+
+
+def part_checks(part, nq):
+    """The checks of one part at N = nq in report order, each a tuple
+    (kind, *names) over the names of builders.schrodinger_family:
+      ("[]", a, b)           the commutator [a, b] is zero
+      ("trace", "H", *I_ii)  the trace identity H = (1/2) sum_i I_ii
+      ("conjugation", x)     the flavor's x is D^a x D^(-a)
+      ("sl2", g)             the sl(2,R) relation with the generator g on its right
+    """
+    ladders = [f"C{s}({m})" for m in range(2, nq + 1) for s in "^_"]
+    entries = [f"I_{i}{j}" for i in range(1, nq + 1) for j in range(i, nq + 1)]
+    diagonal = [f"I_{i}{i}" for i in range(1, nq + 1)]
+    if part == "i":
+        return [("[]", "H", x) for x in ladders + entries] + [("trace", "H", *diagonal)]
+    if part == "ii":
+        return [("[]", *ab) for xs in (ladders[::2], ladders[1::2], diagonal) for ab in combinations(xs, 2)]
+    if part == "sl2":
+        return [("sl2", g) for g in ("J+", "J-", "J3")]
+    return [("conjugation", x) for x in entries]
+
+
+def entries_read(parts, nq):
+    """The Fradkin entries, by family name, that the checks of ``parts`` name."""
+    return {x for part in parts for _, *names in part_checks(part, nq)
+            for x in names if x.startswith("I_")}
 
 
 def verify_theorem(flavor, nq, parts=ALL_PARTS, fradkin=None):
@@ -175,23 +190,23 @@ def verify_theorem(flavor, nq, parts=ALL_PARTS, fradkin=None):
       'sl2'          the sl(2,R) commutation relations in the q/p realization
       'conjugation'  Fradkin entries match the D-power conjugates of the
                      direct-quantization tensor
+    whose checks part_checks lists over the names of the Schrödinger
+    invariant family (builders.schrodinger_family).
 
-    Every flavor is checked in the Schrödinger frame.  Conjugation by D^a
+    Every flavor is checked in that family's frame.  Conjugation by D^a
     (a = conjugation_exponent) is an algebra automorphism, so
     [H_X, I_X] = D^a [H, I] D^(-a): each check is computed on the preimages
-    of the operators it reads and its residual is conjugated back by D^a,
+    of the operators it names and its residual is conjugated back by D^a,
     which gives the operator, text and degree bounds of the flavor's own
-    commutator.  The frame (H, the C ladders and the schrodinger Fradkin
-    entries) is built once per N and process, and so are its D^a
-    conjugates, the commutators among its operators and the sl(2)
-    relations.  Each call builds the flavor's closed-form H and proves its
-    preimages anew: H_X and every entry read, less the frame's D^a
-    conjugate, must be exactly zero (the entries' differences are the
-    conjugation part's residuals).  A check reads the frame only when all
-    its operands are so proven; any other operand, such as a corrupted
-    entry, is the flavor's operator conjugated by D^(-a), and its check is
-    computed directly.  The C ladders are their own preimages once every
-    L_ij is fixed by D^a.
+    commutator.  The family, its D^a conjugates, the commutators among its
+    operators and the sl(2) relations are built once per N and process.
+    Each call resolves every name read once, by _preimage: H_X and every
+    entry read, less the family's D^a conjugate, must be exactly zero (an
+    entry's difference is its conjugation residual).  A check reads the
+    family only when all its operands are so proven; any other operand, such
+    as a corrupted entry, is the flavor's operator conjugated by D^(-a), and
+    its check is computed directly.  The C ladders are their own preimages
+    once every L_ij is fixed by D^a.
 
     A prebuilt (possibly corrupted) ``fradkin`` tensor may be injected for
     mutation testing.  Functional independence (part iii of the statements)
@@ -206,54 +221,32 @@ def verify_theorem(flavor, nq, parts=ALL_PARTS, fradkin=None):
     if unknown:
         raise ValueError(f"unknown theorem parts {sorted(unknown)}")
     report = VerifyReport(flavor=flavor, dim=nq)
-    hname = f"H_{flavor}"
-    if fradkin is None:
-        fradkin = build_fradkin(flavor, nq)
-    read = [(i, j) for i in range(nq) for j in range(i, nq)
-            if any(PART_READS_ENTRY[p](i, j) for p in parts)]
-    # each entry read less the D^a conjugate of the frame's entry: the
-    # conjugation part's residual, and the proof of the entry's preimage
-    gap = {(i, j): fradkin[i][j] - _frame_conjugate(nq, expo, (i, j)) for i, j in read}
-    entry = {(i, j): _preimage(fradkin[i][j], (nq, (i, j)), gap[i, j], expo) for i, j in read}
-
-    if "i" in parts:
-        h = build_hamiltonian(flavor, nq)
-        h = _preimage(h, (nq, "H"), h - _frame_conjugate(nq, expo, "H"), expo)
-        fixed = _fixes_ladders(nq, expo)
-        for m in range(2, nq + 1):
-            for name in (f"C^({m})", f"C_({m})"):
-                c = (nq, name) if fixed else _frame(nq)[name].conjugate_by_d_power(-expo)
-                report.checks.append(_commutator_check(hname, h, name, c, expo))
-        for i, j in read:
-            report.checks.append(
-                _commutator_check(hname, h, f"I_{i+1}{j+1}", entry[i, j], expo)
-            )
-        trace = sum((_op(entry[i, i]) for i in range(nq)), OperatorExpr.zero(nq))
-        residual = (_op(h) + _op(h) - trace).conjugate_by_d_power(expo)
-        report.checks.append(_residual_check(hname, "(1/2) sum_i I_ii", residual))
-
-    if "ii" in parts:
-        for prefix in ("C^", "C_"):
-            names = [f"{prefix}({m})" for m in range(2, nq + 1)]
-            for a, b in combinations(names, 2):
-                report.checks.append(_commutator_check(a, (nq, a), b, (nq, b)))
-        for i, j in combinations(range(nq), 2):
-            report.checks.append(_commutator_check(
-                f"I_{i+1}{i+1}", entry[i, i], f"I_{j+1}{j+1}", entry[j, j], expo))
-
-    if "sl2" in parts:
-        for lhs, rhs, residual in _sl2_relations(nq):
-            report.checks.append(_residual_check(lhs, rhs, residual))
-
-    if "conjugation" in parts:
-        for i, j in read:
-            report.checks.append(
-                _residual_check(
-                    f"I_{flavor},{i+1}{j+1}",
-                    f"D^({expo}) I_{i+1}{j+1} D^(-{expo})",
-                    gap[i, j],
-                )
-            )
+    entries = fradkin_entries(build_fradkin(flavor, nq) if fradkin is None else fradkin)
+    checks = [c for part in ALL_PARTS if part in parts for c in part_checks(part, nq)]
+    family = schrodinger_family(nq)
+    # every family name read, resolved once; an entry's gap is its conjugation residual
+    pre, gap = {}, {}
+    for x in dict.fromkeys(x for _, *names in checks for x in names if x in family):
+        if x.startswith("C"):
+            pre[x] = (nq, x) if _fixes_ladders(nq, expo) else family[x].conjugate_by_d_power(-expo)
+        else:
+            own = build_hamiltonian(flavor, nq) if x == "H" else entries[x]
+            pre[x], gap[x] = _preimage(own, nq, x, expo)
+    label = {"H": f"H_{flavor}"}
+    for kind, *names in checks:
+        if kind == "[]":
+            a, b = names
+            check = _commutator_check(label.get(a, a), pre[a], label.get(b, b), pre[b], expo)
+        elif kind == "trace":
+            h, *diagonal = (_op(pre[x]) for x in names)
+            residual = (h + h - sum(diagonal, OperatorExpr.zero(nq))).conjugate_by_d_power(expo)
+            check = _residual_check(label["H"], "(1/2) sum_i I_ii", residual)
+        elif kind == "conjugation":
+            x, = names
+            check = _residual_check(f"I_{flavor},{x[2:]}", f"D^({expo}) {x} D^(-{expo})", gap[x])
+        else:
+            check = _residual_check(*_sl2_relations(nq)[names[0]])
+        report.checks.append(check)
     return report
 
 
@@ -268,8 +261,7 @@ def similarity_checks(nq):
     the self-adjointness of each Hamiltonian in its own weighted product
     (weight D^(1-2a): D, D^(N/2) and 1).
     """
-    hs = {f: build_hamiltonian(f, nq) for f in FLAVORS[1:]}
-    hs["schrodinger"] = _frame(nq)["H"]
+    hs = {"schrodinger": schrodinger_family(nq)["H"], **{f: build_hamiltonian(f, nq) for f in FLAVORS[1:]}}
     a = {f: conjugation_exponent(f, nq) for f in FLAVORS}
     # H_to = D^b H_from D^(-b) with b = a_to - a_from
     checks = [

@@ -11,8 +11,9 @@ exact_state() gives the trajectory that measures the integrator's global
 error, which the invariant drift cannot see.
 
 The Poisson brackets and the independence rank are exact: they use the
-gradients of the hbar = 0 symbols of the algebra engine's operators,
-evaluated at Fraction(q, p), which is the float state exactly.
+gradients of the hbar = 0 symbols of the Schrödinger invariant family that
+verify reads too (algebra.schrodinger_family), evaluated at Fraction(q, p),
+which is the float state exactly.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize_scalar
 
-from .algebra import (build_angular_invariants, build_fradkin, build_hamiltonian,
-                      symbol_gradients)
+from .algebra import schrodinger_family, symbol_gradients
 from .model import (bracketed_newton, classical_effective_potential, continuum_threshold,
                     effective_frequency)
 
@@ -316,16 +316,6 @@ def orbit_closure(params, initial, record):
     }
 
 
-@cache
-def _operators(dim):
-    """The invariants as schrodinger operators, keyed like invariant_names()
-    plus C_(N); their hbar = 0 symbols, the same for every flavor, are the
-    classical invariants."""
-    fradkin = build_fradkin("schrodinger", dim)
-    return {"H": build_hamiltonian("schrodinger", dim), **build_angular_invariants(dim),
-            **{f"I_{i+1}{j+1}": fradkin[i][j] for i in range(dim) for j in range(i, dim)}}
-
-
 @lru_cache(maxsize=1)
 def _point_rows(q, p, lam, omega):
     """The exact gradient rows computed so far at one rational point, by
@@ -342,7 +332,7 @@ def _symbol_rows(params, names, state):
     rows = _point_rows(*point)
     for name in names:
         if name not in rows:
-            rows[name] = tuple(symbol_gradients([_operators(state.dim)[name]], *point)[0])
+            rows[name] = tuple(symbol_gradients([schrodinger_family(state.dim)[name]], *point)[0])
     return [rows[name] for name in names]
 
 

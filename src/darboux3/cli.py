@@ -29,7 +29,7 @@ from .algebra import (
     similarity_checks,
     verify_theorem,
 )
-from .algebra.verify import ALL_PARTS, PART_READS_ENTRY, fradkin_label_indices
+from .algebra.verify import ALL_PARTS, entries_read, fradkin_label_indices
 from .model import (
     ModelParams,
     classical_effective_minimum,
@@ -378,8 +378,8 @@ def main(argv=None):
             i, j = fradkin_label_indices(args.corrupt, args.dim)
         except ValueError as exc:
             args.parser.error(f"argument --corrupt: {exc}")
-        # a mutation no selected part reads would pass silently
-        if not any(PART_READS_ENTRY[part](i, j) for part in args.parts):
+        # a mutation no check of the selected parts names would pass silently
+        if "I_{}{}".format(*sorted((i + 1, j + 1))) not in entries_read(args.parts, args.dim):
             args.parser.error(f"argument --corrupt: no part in --parts reads {args.corrupt}")
     if args.command == "spectrum" and args.flavor == "all":
         # each flavor's own r-form solve has its own box and exports nothing

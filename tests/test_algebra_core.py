@@ -1,6 +1,7 @@
 """Exact ring arithmetic, normal ordering, parsing, and algebra properties."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 from math import comb, perm
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from darboux3.algebra import operators, parser, ring, verify
+from darboux3.algebra import builders, operators, parser, ring, verify
 from darboux3.algebra import (
     Coefficient,
     OperatorExpr,
@@ -240,6 +241,14 @@ def test_commutator_d_power_guard_reads_canonical_power():
     assert not check.commutator_zero and check.residual.endswith("/D^5")
 
 
+def test_commutator_momentum_guard_is_degree_4():
+    # the documented bound, pinned by value: [q1*p1^k, p1] = i*hbar*p1^k
+    x = parse("q1*p1^4", 2)
+    assert verify._commutator_check("x", x, "p1", OperatorExpr.momentum(2, 0)).residual_terms == 1
+    with pytest.raises(AssertionError, match="momentum 5"):
+        verify._commutator_check("x", parse("q1*p1^5", 2), "p1", OperatorExpr.momentum(2, 0))
+
+
 def test_canonical_commutation_relation():
     assert parse("q1*p1 - p1*q1", 2) == parse("i*hbar", 2)
     assert parse("q1*p2 - p2*q1", 2).is_zero()
@@ -363,6 +372,11 @@ def test_d_power_bound():
     # a sum whose D-powers differ by more, raises OverflowError naming D at
     # once, without recursing once per power
     top = ring.MAX_D_POWER
+    # the README's limit, pinned by value
+    assert len(parse("D^12", 2).terms) == 1
+    with pytest.raises(OverflowError) as exc:
+        parse("D^13", 2)
+    assert str(exc.value) == "exponent 13 of D is outside 0..12"
     for text, k in (("q1*D^-1000 + 1", 1000), ("D^1000", 1000),
                     (f"D^{top + 1} + q1", top + 1), (f"q1*D^-{top + 1} + 1", top + 1)):
         start = time.process_time()
@@ -511,24 +525,25 @@ def test_products_with_warm_tables_match_cold_copies():
 
 
 def test_push_through_tables_match_fresh_expansions(monkeypatch, clear_frame):
-    # verify_theorem("tlb", 3) pushes the Schrödinger-frame Hamiltonian, the
-    # preimage of H_tlb, through every invariant; afterwards its coefficients
-    # are as built and every table entry is the expansion _push_through
-    # derives anew, less the leading (alpha, c) pair.  The frame is built
-    # once per process, so a cold frame builds that H once and a warm one
-    # not again
-    built, original = [], verify.build_hamiltonian
+    # verify_theorem("tlb", 3) pushes the Schrödinger family's Hamiltonian,
+    # the preimage of H_tlb, through every invariant; afterwards its
+    # coefficients are as built and every table entry is the expansion
+    # _push_through derives anew, less the leading (alpha, c) pair.  The
+    # family is built once per process, so a cold family builds that H once
+    # and a warm one not again.  build_fradkin builds an H of its own for
+    # its entries, so only the builds the family makes itself are recorded
+    built, original = [], builders.build_hamiltonian
 
     def record(flavor, nq):
         h = original(flavor, nq)
-        if flavor == "schrodinger":
+        if flavor == "schrodinger" and sys._getframe(1).f_code.co_name == "schrodinger_family":
             built.append(h)
         return h
 
-    monkeypatch.setattr(verify, "build_hamiltonian", record)
+    monkeypatch.setattr(builders, "build_hamiltonian", record)
     verify_theorem("tlb", 3)
     h, = built
-    assert h is verify._frame(3)["H"]
+    assert h is builders.schrodinger_family(3)["H"]
     verify_theorem("tlb", 3)
     assert built == [h]
     assert _stored(h) == _stored(original("schrodinger", 3))

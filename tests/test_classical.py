@@ -185,6 +185,14 @@ def test_orbit_closure_deformed_and_inconclusive():
     far = cl.PhaseState(q=np.array([0.1, 0.0, 0.0]), p=np.array([8.0, 0.5, 0.0]))
     res2 = cl.orbit_closure(PARAMS, far, cl.integrate(PARAMS, far, 1.0, tolerance=1e-9))
     assert not res2["conclusive"]
+    # a bounded orbit that does not close: read from the record of a state
+    # with q shifted by 1e-3, it ends 1.9e-3 away, above the threshold
+    # 1e-4 * |z0| = 1.8e-4
+    a = cl.random_state(PARAMS, np.random.default_rng(0))
+    b = cl.PhaseState(q=a.q + 1e-3, p=a.p)
+    res3 = cl.orbit_closure(PARAMS, a, cl.integrate(PARAMS, b, 10.0))
+    assert res3["conclusive"] is False
+    assert 1.5e-3 < res3["closure_distance"] < 2.5e-3
 
 
 def test_nonunit_omega_period_and_drift():
@@ -262,7 +270,7 @@ def test_each_gradient_row_is_computed_once_per_command(monkeypatch):
         computed.extend(ops)
         return [[int(j == order[op]) for j in range(2 * len(q))] for op in ops]
 
-    monkeypatch.setattr(cl, "_operators", lambda n: {name: name for name in order})
+    monkeypatch.setattr(cl, "schrodinger_family", lambda n: {name: name for name in order})
     monkeypatch.setattr(cl, "symbol_gradients", gradients)
     cl._point_rows.cache_clear()
     params = ModelParams(dim=dim, lam=0.02)

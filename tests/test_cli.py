@@ -4,8 +4,10 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from darboux3 import classical as cl
+from darboux3 import cli
 from darboux3 import reports as rp
+from darboux3.algebra import FLAVORS, builders, verify, verify_theorem
 from darboux3.cli import MAX_PERIODS, main
 
 
@@ -84,6 +88,66 @@ def test_corrupt_residuals_match_golden_text_after_clean_runs(capsys, clear_fram
             assert run_cli(capsys, "verify", "--dim", dim, "--flavor", flavor, "--no-timestamp")[0] == 0
         for key in sorted(k for k in GOLDEN_RESIDUALS if k.split("/")[1] == dim):
             _assert_golden_residuals(capsys, key)
+
+
+# which Fradkin entries (i, j), zero-based, each part read, as the table
+# that stated it by hand before the reads were derived from the check lists
+PART_READS_ENTRY = {"i": lambda i, j: True, "ii": lambda i, j: i == j,
+                    "sl2": lambda i, j: False, "conjugation": lambda i, j: True}
+
+
+def test_corrupt_refusals_follow_the_entries_the_checks_name(capsys, monkeypatch):
+    # for every N, part subset and label Iij (i > j included) --corrupt is
+    # refused exactly when the table above reads no entry (i, j); and the
+    # entries that verify_theorem's checks name are the derived set
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: 0)
+    subsets = [parts for k in range(1, len(verify.ALL_PARTS) + 1)
+               for parts in combinations(verify.ALL_PARTS, k)]
+    for n in range(2, 9):
+        for parts in subsets:
+            reads = {(i, j) for i in range(n) for j in range(n)
+                     if any(PART_READS_ENTRY[part](i, j) for part in parts)}
+            for i in range(n):
+                for j in range(n):
+                    argv = ["verify", "--dim", str(n), "--parts", ",".join(parts),
+                            "--corrupt", f"I{i + 1}{j + 1}"]
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+                    assert code == (0 if (i, j) in reads else 2), argv
+            capsys.readouterr()
+            named = {f"I_{m[1]}" for c in verify_theorem("schrodinger", n, parts=parts).checks
+                     for m in re.finditer(r"I_(?:\w+,)?(\d\d)", c.lhs + " " + c.rhs)}
+            expected = {f"I_{i + 1}{j + 1}" for i, j in reads if i <= j}
+            assert named == verify.entries_read(parts, n) == expected, (n, parts)
+
+
+@pytest.mark.parametrize("dim", ["2", "3", "4"])
+def test_verify_and_classical_share_the_family_safely(capsys, clear_frame, dim):
+    # verify and classical read one Schrödinger family per N and process: a
+    # classical report is the same cold and after verify of every flavor at
+    # its N, and the verify reports are the same after classical
+    classical = ("classical", "--dim", dim, "--t-end", "5", "--no-timestamp")
+    verifies = [("verify", "--dim", dim, "--flavor", f, "--no-timestamp") for f in FLAVORS]
+
+    def cold():
+        clear_frame()
+        cl._point_rows.cache_clear()  # else the rows of the last state are kept
+
+    cold()
+    alone = run_cli(capsys, *classical)
+    cold()
+    verified = [run_cli(capsys, *argv) for argv in verifies]
+    assert run_cli(capsys, *classical) == alone
+    cold()
+    assert run_cli(capsys, *classical) == alone
+    assert [run_cli(capsys, *argv) for argv in verifies] == verified
+    assert alone[0] == 0 and all(code == 0 for code, _ in verified)
+    # clear_frame empties the family too
+    assert builders.schrodinger_family.cache_info().currsize > 0
+    clear_frame()
+    assert builders.schrodinger_family.cache_info().currsize == 0
 
 
 BAD_FLAGS = (
